@@ -8,6 +8,6 @@ counting        per-edge butterfly counting kernel (Alg. 1 lines 6-11)
 probability     Eq. 1 discovery probability, Thm. 2 variance formulas
 random_pairing  Random Pairing sampler (Alg. 2) with delta recording
 abacus          sequential ABACUS (Alg. 1)
-parabacus       mini-batch PARABACUS (Sec. V) with serial/Spark executors
+parabacus       mini-batch PARABACUS (Sec. V) with serial/Spark RDD executors
 exact           exact butterfly counting engines (ground truth)
 """

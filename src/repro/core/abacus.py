@@ -15,7 +15,6 @@ against the static exact engines.
 """
 from __future__ import annotations
 
-import random
 from typing import Iterable, Tuple
 
 from repro.core.counting import count_butterflies_with_sample
@@ -58,12 +57,3 @@ class Abacus:
         for u, v, sign in stream:
             self.process(u, v, sign)
         return self.estimate
-
-    # -- convenience -------------------------------------------------------
-    @property
-    def sample_size(self) -> int:
-        return len(self.rp.sample)
-
-    @property
-    def rng(self) -> random.Random:
-        return self.rp.rng

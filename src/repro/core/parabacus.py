@@ -16,18 +16,14 @@ Per mini-batch of M elements:
 3. **Consolidation** is free: the driver's live sample already advanced
    to ``S_M`` during step 1, which serves as the next batch's ``S_0``.
 
-Three executors run the *identical* group function:
+Two executors run the *identical* group function:
 
 - :class:`SerialExecutor` — in-process loop, for fast Theorem-5
   equivalence tests;
-- :class:`SparkExecutor` — Catalyst dataflow: the mini-batch is a
-  DataFrame, the versioned sample a broadcast variable, per-group
-  counting a ``groupBy("g").applyInPandas`` physical operator;
-- :class:`RDDExecutor` — same fan-out at the RDD layer (the paper's
+- :class:`RDDExecutor` — one Spark RDD job per mini-batch (the paper's
   contribution *is* this physical parallel operator, and the reproduction
-  brief sanctions RDD for it). Its per-job overhead is ~2x lower than
-  the Catalyst path, so the speedup experiments (Figs. 8-10) use it;
-  both are equivalence-tested against ABACUS.
+  brief sanctions RDD for it); the speedup experiments (Figs. 8-10) use
+  it, and it is equivalence-tested against ABACUS.
 
 Theorem 5 (and its test) guarantee the estimate equals ABACUS's for the
 same RNG seed, up to float summation order.
@@ -35,8 +31,6 @@ same RNG seed, up to float summation order.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-import pandas as pd
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
@@ -165,84 +159,6 @@ class RDDExecutor:
             return sc.parallelize(range(n_groups), n_groups).map(task).collect()
         finally:
             bc.destroy()
-
-
-class SparkExecutor:
-    """Distributed per-edge counting via ``groupBy().applyInPandas``.
-
-    The mini-batch travels as a DataFrame ``(idx, u, v, sign, g)``; the
-    base sample ``S_0``, the delta list, and the triplets travel as one
-    broadcast variable. Shuffle partitioning is pinned to ``n_groups``
-    for the duration of the query so each group maps to one task (the
-    paper's one-thread-per-group model).
-    """
-
-    def __init__(self, spark, n_groups: int = 8):
-        self.spark = spark
-        self.n_groups = n_groups
-
-    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[int, float, int]]:
-        spark = self.spark
-        m = len(batch)
-        bounds = group_bounds(m, self.n_groups)
-        n_groups = len(bounds) - 1
-        bc = spark.sparkContext.broadcast((list(s0_edges), list(deltas), list(triplets), k))
-
-        rows = []
-        for g in range(n_groups):
-            for j in range(bounds[g], bounds[g + 1]):
-                u, v, sign = batch[j]
-                rows.append((j, u, v, sign, g))
-        df = spark.createDataFrame(
-            pd.DataFrame(rows, columns=["idx", "u", "v", "sign", "g"]),
-            schema="idx long, u long, v long, sign int, g int",
-        )
-
-        def count_one_group(pdf: pd.DataFrame) -> pd.DataFrame:
-            s0, all_deltas, all_triplets, budget = bc.value
-            pdf = pdf.sort_values("idx")
-            start = int(pdf["idx"].iloc[0])
-            stop = int(pdf["idx"].iloc[-1]) + 1
-            grp_batch = {
-                int(i): (int(u), int(v), int(s))
-                for i, u, v, s in zip(pdf["idx"], pdf["u"], pdf["v"], pdf["sign"])
-            }
-            adj = build_adjacency(s0)
-            for j in range(start):
-                for op in all_deltas[j]:
-                    apply_op(adj, op)
-            partial = 0.0
-            comparisons = 0
-            for j in range(start, stop):
-                u, v, sign = grp_batch[j]
-                n_bf, comps = count_butterflies_with_sample(adj, u, v)
-                comparisons += comps
-                if n_bf:
-                    n_live, c_b, c_g = all_triplets[j]
-                    p = discovery_probability(budget, n_live, c_b, c_g)
-                    partial += (n_bf if sign > 0 else -n_bf) / p
-                for op in all_deltas[j]:
-                    apply_op(adj, op)
-            return pd.DataFrame(
-                {
-                    "g": [int(pdf["g"].iloc[0])],
-                    "partial": [partial],
-                    "comparisons": [comparisons],
-                }
-            )
-
-        prev = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", str(n_groups))
-        try:
-            collected = (
-                df.groupBy("g")
-                .applyInPandas(count_one_group, "g int, partial double, comparisons long")
-                .collect()
-            )
-        finally:
-            spark.conf.set("spark.sql.shuffle.partitions", prev)
-            bc.destroy()
-        return [(r["g"], r["partial"], r["comparisons"]) for r in collected]
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,6 @@ from __future__ import annotations
 from math import comb
 
 
-def stream_size(n_live: int, c_b: int, c_g: int) -> int:
-    """T = |E| + c_b + c_g (Eq. 1)."""
-    return n_live + c_b + c_g
-
-
-def sample_size(k: int, n_live: int, c_b: int, c_g: int) -> int:
-    """y = min(k, |E| + c_b + c_g) (Eq. 1)."""
-    return min(k, stream_size(n_live, c_b, c_g))
-
-
 def discovery_probability(k: int, n_live: int, c_b: int, c_g: int) -> float:
     """Eq. 1: probability that 3 specific distinct live edges are sampled.
 
@@ -34,27 +24,11 @@ def discovery_probability(k: int, n_live: int, c_b: int, c_g: int) -> float:
     ABACUS never divides by it in that case because discovering a
     butterfly requires >= 3 sampled edges.
     """
-    t = stream_size(n_live, c_b, c_g)
+    t = n_live + c_b + c_g
     y = min(k, t)
     if y < 3 or t < 3:
         return 0.0
     return (y / t) * ((y - 1) / (t - 1)) * ((y - 2) / (t - 2))
-
-
-def increment(sign: int, k: int, n_live: int, c_b: int, c_g: int) -> float:
-    """Per-discovered-butterfly count adjustment (Alg. 1 line 6).
-
-    ``sign`` is +1 for an insertion, -1 for a deletion. The reciprocal of
-    the discovery probability makes the expected adjustment per created /
-    deleted butterfly exactly +1 / -1 (Theorem 1).
-    """
-    p = discovery_probability(k, n_live, c_b, c_g)
-    if p == 0.0:
-        raise ZeroDivisionError(
-            "increment undefined: discovery probability is zero "
-            f"(k={k}, |E|={n_live}, c_b={c_b}, c_g={c_g})"
-        )
-    return (1.0 if sign > 0 else -1.0) / p
 
 
 def gamma(n_edges: int, k: int) -> float:

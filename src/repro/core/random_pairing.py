@@ -33,7 +33,7 @@ class RandomPairing:
 
     __slots__ = ("k", "sample", "n_live", "c_b", "c_g", "rng")
 
-    def __init__(self, k: int, seed: int = 0, rng: random.Random | None = None):
+    def __init__(self, k: int, seed: int = 0):
         if k < 2:
             raise ValueError("memory budget k must be >= 2")
         self.k = k
@@ -41,7 +41,7 @@ class RandomPairing:
         self.n_live = 0  # |E|: inserted and not yet deleted
         self.c_b = 0
         self.c_g = 0
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
 
     # -- Alg. 2 ------------------------------------------------------------
     def insert(self, u: int, v: int) -> List[Op]:

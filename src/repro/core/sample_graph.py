@@ -16,7 +16,7 @@ sign-based encoding of :mod:`repro.core.encoding`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.core.encoding import is_left
 
@@ -48,9 +48,6 @@ class SampleGraph:
 
     def __contains__(self, edge: Edge) -> bool:
         return canon(*edge) in self._pos
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self._edges)
 
     def edges(self) -> list[Edge]:
         """Snapshot list of edges in insertion (swap-perturbed) order."""
@@ -84,26 +81,3 @@ class SampleGraph:
     def random_edge(self, rng: random.Random) -> Edge:
         """Uniformly random edge (not removed)."""
         return self._edges[rng.randrange(len(self._edges))]
-
-    # -- queries -----------------------------------------------------------
-    def neighbors(self, v: int) -> Set[int]:
-        """Neighbor set of ``v`` in the sample (empty set if absent)."""
-        return self.adj.get(v, _EMPTY)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj.get(v, _EMPTY))
-
-    def copy(self) -> "SampleGraph":
-        """Deep-ish copy (new sets, shared immutable ints)."""
-        g = SampleGraph.__new__(SampleGraph)
-        g.adj = {k: set(s) for k, s in self.adj.items()}
-        g._edges = list(self._edges)
-        g._pos = dict(self._pos)
-        return g
-
-    def adjacency_copy(self) -> Dict[int, Set[int]]:
-        """Plain dict-of-sets copy, for broadcasting to Spark tasks."""
-        return {k: set(s) for k, s in self.adj.items()}
-
-
-_EMPTY: frozenset = frozenset()

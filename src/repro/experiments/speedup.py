@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.parabacus import ParAbacus, RDDExecutor
 from repro.experiments import common
 
 def _sequential_baseline(stream, k: int, seed: int) -> float:
@@ -44,7 +43,9 @@ def speedup_vs_batch(
         for k in ks:
             t_seq = _sequential_baseline(stream, k, seed=21)
             for m in batch_sizes:
-                pb = ParAbacus(k, batch_size=m, seed=21, executor=RDDExecutor(spark, n_groups))
+                pb = common.make_algo(
+                    "parabacus", k, 21, spark, batch_size=m, n_groups=n_groups
+                )
                 _, t_par = common.timed_run(pb, stream)
                 rows.append(
                     {
@@ -80,8 +81,8 @@ def speedup_vs_threads(
         for k in ks:
             t_seq = _sequential_baseline(stream, k, seed=22)
             for p in thread_counts:
-                pb = ParAbacus(
-                    k, batch_size=batch_size, seed=22, executor=RDDExecutor(spark, p)
+                pb = common.make_algo(
+                    "parabacus", k, 22, spark, batch_size=batch_size, n_groups=p
                 )
                 _, t_par = common.timed_run(pb, stream)
                 rows.append(

@@ -65,7 +65,7 @@ def test_exact_mode_delete_one_edge():
 def test_initial_state():
     ab = Abacus(k=5)
     assert ab.estimate == 0.0
-    assert ab.sample_size == 0
+    assert len(ab.rp.sample) == 0
     assert ab.comparisons == 0
     assert ab.elements_processed == 0
 
@@ -105,7 +105,7 @@ def test_sample_bounded_by_budget():
     ab = Abacus(k=12, seed=2)
     for u, v, s in stream:
         ab.process(u, v, s)
-        assert ab.sample_size <= 12
+        assert len(ab.rp.sample) <= 12
 
 
 def test_increment_uses_pre_update_state():

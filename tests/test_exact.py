@@ -1,6 +1,7 @@
 """Tests for the exact butterfly counting engines (+ oracle checks)."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import exact
 from repro.core.encoding import enc_right
@@ -83,6 +84,31 @@ def test_spark_engine_against_oracle(spark, center, side):
     assert_equivalent(
         exact.butterflies_spark_df(df, center=center),
         exact.butterfly_sql(center, side),
+        edges=pdf,
+    )
+
+
+def test_wedge_aggregation_oracle(spark):
+    """Check the *intermediate* wedge-pair aggregation row-by-row, not
+    just the final scalar — a broken join would surface here."""
+    edges = zipf_bipartite(25, 25, 160, 0.8, 0.8, seed=11)
+    pdf = pdf_of(edges)
+    df = exact.pdf_to_spark(spark, pdf)
+    a = df.select(F.col("r").alias("c"), F.col("l").alias("s1"))
+    b = df.select(F.col("r").alias("c"), F.col("l").alias("s2"))
+    pairs = (
+        a.join(b, "c")
+        .where(F.col("s1") < F.col("s2"))
+        .groupBy("s1", "s2")
+        .agg(F.count(F.lit(1)).alias("c"))
+    )
+    assert_equivalent(
+        pairs,
+        """
+        SELECT a.l AS s1, b.l AS s2, COUNT(*) AS c
+        FROM edges a JOIN edges b ON a.r = b.r AND a.l < b.l
+        GROUP BY a.l, b.l
+        """,
         edges=pdf,
     )
 

@@ -1,4 +1,6 @@
 """Tests for PARABACUS: Theorem 5 equivalence, versioning, executors."""
+import os
+
 import pytest
 
 from repro.core import exact
@@ -7,7 +9,6 @@ from repro.core.parabacus import (
     ParAbacus,
     RDDExecutor,
     SerialExecutor,
-    SparkExecutor,
     apply_op,
     build_adjacency,
     group_bounds,
@@ -151,19 +152,12 @@ def test_partial_batch_flushed_at_stream_end():
 
 
 # ---------------------------------------------------------------------------
-# Spark executors (session-scoped fixture; kept few but meaningful)
+# Spark executor (session-scoped fixture; kept few but meaningful)
 # ---------------------------------------------------------------------------
 def test_equivalence_rdd_executor(spark):
     stream = stream_of(11, n=200)
     e1 = Abacus(k=30, seed=11).process_stream(stream)
     pb = ParAbacus(k=30, batch_size=60, seed=11, executor=RDDExecutor(spark, 4))
-    assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
-
-
-def test_equivalence_spark_applyinpandas_executor(spark):
-    stream = stream_of(12, n=200)
-    e1 = Abacus(k=30, seed=12).process_stream(stream)
-    pb = ParAbacus(k=30, batch_size=100, seed=12, executor=SparkExecutor(spark, 4))
     assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
 
 
@@ -174,3 +168,23 @@ def test_spark_executors_report_comparisons(spark):
     pb = ParAbacus(k=25, batch_size=75, seed=13, executor=RDDExecutor(spark, 3))
     pb.process_stream(stream)
     assert pb.comparisons == ab.comparisons
+
+
+def test_rdd_executor_destroys_broadcast_when_a_task_fails(spark, monkeypatch):
+    """With no deltas every group task raises IndexError; the job must fail
+    and the broadcast's driver-side file must still be removed."""
+    sc = spark.sparkContext
+    made = []
+    broadcast = type(sc).broadcast
+
+    def spy(self, value):
+        bc = broadcast(self, value)
+        made.append(bc)
+        return bc
+
+    monkeypatch.setattr(type(sc), "broadcast", spy)
+    batch = [(u, v, 1) for u, v in zipf_bipartite(6, 6, 12, seed=1)]
+    with pytest.raises(Exception, match="IndexError"):
+        RDDExecutor(spark, 3).run([], batch, [], [(0, 0, 0)] * len(batch), 10)
+    assert len(made) == 1
+    assert not os.path.exists(made[0]._path)

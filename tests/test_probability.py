@@ -6,18 +6,9 @@ import pytest
 from repro.core.probability import (
     discovery_probability,
     gamma,
-    increment,
-    sample_size,
-    stream_size,
     variance,
     variance_upper_bound,
 )
-
-
-def test_stream_and_sample_size():
-    assert stream_size(10, 2, 3) == 15
-    assert sample_size(8, 10, 2, 3) == 8
-    assert sample_size(100, 10, 2, 3) == 15
 
 
 def test_probability_is_one_when_sample_holds_everything():
@@ -44,17 +35,6 @@ def test_probability_matches_hypergeometric(k, e, cb, cg):
 @pytest.mark.parametrize("k,e", [(5, 10), (5, 100), (20, 1000)])
 def test_probability_monotone_decreasing_in_stream_size(k, e):
     assert discovery_probability(k, e, 0, 0) > discovery_probability(k, e + 10, 0, 0)
-
-
-def test_increment_signs_and_magnitude():
-    p = discovery_probability(5, 20, 0, 0)
-    assert increment(+1, 5, 20, 0, 0) == pytest.approx(1.0 / p)
-    assert increment(-1, 5, 20, 0, 0) == pytest.approx(-1.0 / p)
-
-
-def test_increment_raises_on_zero_probability():
-    with pytest.raises(ZeroDivisionError):
-        increment(+1, 2, 100, 0, 0)
 
 
 def test_gamma_definition():

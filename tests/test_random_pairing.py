@@ -1,5 +1,4 @@
 """Tests for the Random Pairing sampler (Algorithm 2)."""
-import random
 from collections import Counter
 
 import pytest
@@ -204,9 +203,3 @@ def test_deterministic_given_seed():
     run_stream(b, stream)
     assert sorted(a.sample.edges()) == sorted(b.sample.edges())
     assert a.triplet == b.triplet
-
-
-def test_external_rng_shared():
-    rng = random.Random(1)
-    rp = RandomPairing(k=3, rng=rng)
-    assert rp.rng is rng
