@@ -31,19 +31,17 @@ from repro.core.counting import count_butterflies_with_sample
 from repro.core.sample_graph import SampleGraph
 
 _AMS_ROWS = 4
+LAM = 0.33  # share λ of the budget given to the sketch in the ABACUS evaluation
 
 
 class CasR:
     """CAS-R estimator with total memory budget ``budget`` edges."""
 
-    def __init__(self, budget: int, lam: float = 0.33, seed: int = 0):
+    def __init__(self, budget: int, seed: int = 0):
         if budget < 4:
             raise ValueError("budget must be >= 4")
-        if not 0.0 < lam < 1.0:
-            raise ValueError("lam must be in (0, 1)")
         self.budget = budget
-        self.lam = lam
-        self.capacity = max(2, int(round((1.0 - lam) * budget)))
+        self.capacity = max(2, int(round((1.0 - LAM) * budget)))
         self.sketch_width = max(1, (budget - self.capacity) // _AMS_ROWS)
         self.sketch = np.zeros((_AMS_ROWS, self.sketch_width), dtype=np.int64)
         self.sample = SampleGraph()
@@ -51,7 +49,6 @@ class CasR:
         self.estimate = 0.0
         self.comparisons = 0
         self.rng = random.Random(seed)
-        self.elements_processed = 0
         # per-row hash seeds for the AMS update
         self._hash_seeds = [self.rng.randrange(1 << 30) | 1 for _ in range(_AMS_ROWS)]
 
@@ -73,7 +70,6 @@ class CasR:
 
     def process(self, u: int, v: int, sign: int) -> float:
         """Process one element; deletions are no-ops (returns 0.0)."""
-        self.elements_processed += 1
         if sign < 0:
             return 0.0
         # Count before the membership probability shifts with this edge.

@@ -28,37 +28,32 @@ from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.sample_graph import SampleGraph
 
+GAMMA = 0.75  # resizing parameter γ the ABACUS evaluation runs FLEET3 with
+
 
 class Fleet3:
     """FLEET3 estimator with reservoir capacity ``capacity``."""
 
-    def __init__(self, capacity: int, gamma: float = 0.75, seed: int = 0):
+    def __init__(self, capacity: int, seed: int = 0):
         if capacity < 2:
             raise ValueError("capacity must be >= 2")
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
         self.capacity = capacity
-        self.gamma = gamma
         self.sample = SampleGraph()
         self.p = 1.0
         self.estimate = 0.0
         self.comparisons = 0
         self.rng = random.Random(seed)
-        self.elements_processed = 0
-        self.n_subsamples = 0
 
     def _subsample(self) -> None:
         """ADAPT: keep each stored edge w.p. γ; p ← γ·p."""
         rng = self.rng
         for u, v in self.sample.edges():
-            if rng.random() >= self.gamma:
+            if rng.random() >= GAMMA:
                 self.sample.remove(u, v)
-        self.p *= self.gamma
-        self.n_subsamples += 1
+        self.p *= GAMMA
 
     def process(self, u: int, v: int, sign: int) -> float:
         """Process one element; deletions are no-ops (returns 0.0)."""
-        self.elements_processed += 1
         if sign < 0:
             return 0.0
         n_bf, comps = count_butterflies_with_sample(self.sample.adj, u, v)
@@ -68,7 +63,7 @@ class Fleet3:
         if self.rng.random() < self.p:
             if len(self.sample) >= self.capacity:
                 self._subsample()
-                if self.rng.random() < self.gamma:
+                if self.rng.random() < GAMMA:
                     self.sample.add(u, v)
             else:
                 self.sample.add(u, v)

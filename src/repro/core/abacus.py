@@ -32,7 +32,6 @@ class Abacus:
         self.k = k
         self.estimate = 0.0
         self.comparisons = 0  # total set-intersection work (Sec. VI-G)
-        self.elements_processed = 0
 
     def process(self, u: int, v: int, sign: int) -> float:
         """Process one stream element; returns the estimate adjustment."""
@@ -49,7 +48,6 @@ class Abacus:
             rp.insert(u, v)
         else:
             rp.delete(u, v)
-        self.elements_processed += 1
         return adj_amount
 
     def process_stream(self, stream: Iterable[Element]) -> float:

@@ -176,7 +176,6 @@ class ParAbacus:
         self.executor = executor if executor is not None else SerialExecutor()
         self.estimate = 0.0
         self.comparisons = 0
-        self.elements_processed = 0
         # per-group comparison totals, accumulated over the stream
         # (Fig. 10's per-thread workload)
         self.group_comparisons: Dict[int, int] = {}
@@ -198,7 +197,6 @@ class ParAbacus:
             self.comparisons += comps
             self.group_comparisons[g] = self.group_comparisons.get(g, 0) + comps
         self.estimate += adjustment
-        self.elements_processed += len(batch)
         return adjustment
 
     def process_stream(self, stream: Iterable[Element]) -> float:

@@ -59,9 +59,9 @@ def make_algo(algo: str, k: int, seed: int, spark=None, batch_size: int = 500, n
     if algo == "abacus":
         return Abacus(k, seed=seed)
     if algo == "fleet":
-        return Fleet3(k, gamma=0.75, seed=seed)
+        return Fleet3(k, seed=seed)
     if algo == "cas":
-        return CasR(k, lam=0.33, seed=seed)
+        return CasR(k, seed=seed)
     if algo == "parabacus":
         ex = RDDExecutor(spark, n_groups) if spark is not None else SerialExecutor(n_groups)
         return ParAbacus(k, batch_size=batch_size, seed=seed, executor=ex)

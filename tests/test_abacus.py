@@ -67,7 +67,7 @@ def test_initial_state():
     assert ab.estimate == 0.0
     assert len(ab.rp.sample) == 0
     assert ab.comparisons == 0
-    assert ab.elements_processed == 0
+    assert ab.rp.n_live == 0
 
 
 def test_process_returns_adjustment():
@@ -95,7 +95,8 @@ def test_elements_and_comparisons_counters():
     stream = fully_dynamic_stream(edges, 0.2, seed=1)
     ab = Abacus(k=20, seed=1)
     ab.process_stream(stream)
-    assert ab.elements_processed == len(stream)
+    # every element reached the sampler: |E| is the final live edge count
+    assert ab.rp.n_live == len(final_edges(stream))
     assert ab.comparisons > 0
 
 

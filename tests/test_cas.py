@@ -12,14 +12,10 @@ from repro.streamgen.stream import final_edges, fully_dynamic_stream
 def test_validation():
     with pytest.raises(ValueError):
         CasR(3)
-    with pytest.raises(ValueError):
-        CasR(10, lam=0.0)
-    with pytest.raises(ValueError):
-        CasR(10, lam=1.0)
 
 
 def test_memory_split():
-    cas = CasR(budget=300, lam=0.33)
+    cas = CasR(budget=300)
     assert cas.capacity == round(0.67 * 300)
     assert cas.capacity < 300
     assert cas.sketch.shape[0] == 4

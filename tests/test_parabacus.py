@@ -148,7 +148,11 @@ def test_partial_batch_flushed_at_stream_end():
     stream = stream_of(9)[:25]
     pb = ParAbacus(k=10, batch_size=1000, seed=9, executor=SerialExecutor(2))
     pb.process_stream(stream)
-    assert pb.elements_processed == 25
+    ab = Abacus(k=10, seed=9)
+    ab.process_stream(stream)
+    # the RP pass and the counting both ran on the 25-element tail batch
+    assert pb.rp.n_live == len(final_edges(stream))
+    assert pb.comparisons == ab.comparisons > 0
 
 
 # ---------------------------------------------------------------------------
