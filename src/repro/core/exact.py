@@ -100,28 +100,13 @@ def butterflies_duckdb(edges_pdf: pd.DataFrame) -> int:
 # ---------------------------------------------------------------------------
 # Spark engine (Catalyst)
 # ---------------------------------------------------------------------------
-def butterflies_spark_df(edges_df: DataFrame, center: str | None = None) -> DataFrame:
+def butterflies_spark_df(edges_df: DataFrame, center: str) -> DataFrame:
     """One-row DataFrame ``(butterflies BIGINT)`` for a Spark edge table.
 
-    ``edges_df`` has columns ``l``/``r``. ``center`` forces the wedge
-    center side ("l"/"r"); by default the cheaper side is chosen from
-    the degree distributions (two tiny aggregations).
+    ``edges_df`` has columns ``l``/``r``; ``center`` is the wedge center
+    side ("l"/"r").
     """
     e = edges_df.select("l", "r").dropDuplicates()
-    if center is None:
-        vols = {}
-        for col in ("l", "r"):
-            vols[col] = (
-                e.groupBy(col)
-                .count()
-                .agg(
-                    F.coalesce(
-                        F.sum(F.col("count") * (F.col("count") - 1) / 2), F.lit(0.0)
-                    ).alias("v")
-                )
-                .first()["v"]
-            )
-        center = "l" if vols["l"] <= vols["r"] else "r"
     side = "r" if center == "l" else "l"
 
     a = e.select(F.col(center).alias("c"), F.col(side).alias("s1"))
@@ -137,14 +122,12 @@ def butterflies_spark_df(edges_df: DataFrame, center: str | None = None) -> Data
     )
 
 
-def butterflies_spark(edges_df: DataFrame) -> int:
-    """Scalar exact butterfly count via the Spark engine."""
-    return int(butterflies_spark_df(edges_df).first()["butterflies"])
-
-
-def pdf_to_spark(spark: SparkSession, edges_pdf: pd.DataFrame) -> DataFrame:
-    """Register a pandas edge table as a Spark DataFrame (l, r)."""
-    return spark.createDataFrame(edges_pdf[["l", "r"]])
+def butterflies_spark(spark: SparkSession, edges_pdf: pd.DataFrame) -> int:
+    """Scalar exact butterfly count via the Spark engine, centered on the
+    cheaper side of ``edges_pdf``."""
+    center, _ = _center(edges_pdf)
+    edges_df = spark.createDataFrame(edges_pdf[["l", "r"]])
+    return int(butterflies_spark_df(edges_df, center).first()["butterflies"])
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,12 @@ class RandomPairing:
         return ops
 
     def delete(self, u: int, v: int) -> List[Op]:
-        """DeleteFromSample({u, v}): process an edge deletion."""
+        """DeleteFromSample({u, v}): process an edge deletion.
+
+        Raises ``ValueError``, with no state changed, when no edge is live.
+        """
+        if self.n_live == 0:
+            raise ValueError("delete from an empty live edge set")
         self.n_live -= 1
         if (u, v) in self.sample:
             self.sample.remove(u, v)

@@ -5,9 +5,9 @@ ignore deletions and therefore estimate the insert-only count.
 Fig. 5: insertion-only streams (α = 0%) — all three are applicable.
 
 Each (dataset, k, algo) point is the mean relative error over ``runs``
-seeded repetitions (the paper uses 10; our defaults are 5 for jobs and
-fewer in benchmarks). The ground truth is the exact count of the final
-graph (per run, since deletion choices vary with the seed).
+seeded repetitions (the paper uses 10; the exhibits use 5). The ground
+truth is the exact count of the final graph (per run, since deletion
+choices vary with the seed).
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from typing import Dict, List, Sequence
 from repro.experiments import common
 from repro.streamgen import datasets
 
+ALGOS = ("abacus", "fleet", "cas")
+
 
 def accuracy_sweep(
     dataset_names: Sequence[str] | None = None,
@@ -23,8 +25,6 @@ def accuracy_sweep(
     alpha: float = common.DEFAULT_ALPHA,
     runs: int = 5,
     scale: float = 1.0,
-    algos: Sequence[str] = ("abacus", "fleet", "cas"),
-    seed0: int = 0,
 ) -> List[Dict]:
     """Mean relative error per (dataset, k, algo).
 
@@ -37,11 +37,11 @@ def accuracy_sweep(
     rows: List[Dict] = []
     for name in names:
         streams = [
-            common.make_stream(name, alpha, scale, seed=seed0 + r) for r in range(runs)
+            common.make_stream(name, alpha, scale, seed=r) for r in range(runs)
         ]
         truths = [common.ground_truth(s) for s in streams]
         for k in ks:
-            for algo in algos:
+            for algo in ALGOS:
                 errs, ests = [], []
                 for r, (stream, truth) in enumerate(zip(streams, truths)):
                     est = common.make_algo(algo, k, seed=1000 * r + 7).process_stream(

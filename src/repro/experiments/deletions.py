@@ -20,7 +20,6 @@ def deletions_sweep(
     k: int | None = None,
     runs: int = 3,
     scale: float = 1.0,
-    seed0: int = 0,
 ) -> List[Dict]:
     """Relative error and throughput of ABACUS per (dataset, α).
 
@@ -35,7 +34,7 @@ def deletions_sweep(
         for alpha in alphas:
             errs, thrs = [], []
             for r in range(runs):
-                stream = common.make_stream(name, alpha, scale, seed=seed0 + r)
+                stream = common.make_stream(name, alpha, scale, seed=r)
                 truth = common.ground_truth(stream)
                 obj = common.make_algo("abacus", k, seed=500 * r + 3)
                 est, elapsed = common.timed_run(obj, stream)

@@ -22,10 +22,8 @@ def load_per_group(
     k: int | None = None,
     batch_size: int = 8000,
     n_groups: int = 8,
-    alpha: float = common.DEFAULT_ALPHA,
     scale: float = 1.0,
     spark=None,
-    seed: int = 0,
 ) -> List[Dict]:
     """Per-group comparison totals (one row per (dataset, group))."""
     if k is None:
@@ -34,7 +32,7 @@ def load_per_group(
         common.spark_warmup(spark)
     rows: List[Dict] = []
     for name in dataset_names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         pb = common.make_algo(
             "parabacus", k, 31, spark, batch_size=batch_size, n_groups=n_groups
         )
@@ -76,9 +74,7 @@ def balance_summary(rows: List[Dict]) -> List[Dict]:
 def total_comparisons(
     dataset_names: Sequence[str] | None = None,
     k: int | None = None,
-    alpha: float = common.DEFAULT_ALPHA,
     scale: float = 1.0,
-    seed: int = 0,
 ) -> List[Dict]:
     """Sec. VI-G: total intersection comparisons per dataset at fixed k."""
     if k is None:
@@ -86,7 +82,7 @@ def total_comparisons(
     names = dataset_names or datasets.dataset_names()
     rows: List[Dict] = []
     for name in names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         obj = common.make_algo("abacus", k, seed=17)
         obj.process_stream(stream)
         rows.append(

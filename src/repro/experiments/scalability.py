@@ -11,25 +11,23 @@ import time
 from typing import Dict, List, Sequence
 
 from repro.experiments import common
-from repro.streamgen import datasets
+
+N_CHECKPOINTS = 10
 
 
 def scalability_series(
     dataset_names: Sequence[str] = ("trackers_lite", "orkut_lite"),
     ks: Sequence[int] | None = None,
-    alpha: float = common.DEFAULT_ALPHA,
     scale: float = 1.0,
-    n_checkpoints: int = 10,
-    seed: int = 0,
 ) -> List[Dict]:
     """Cumulative elapsed seconds at each stream-fraction checkpoint."""
     if ks is None:
         ks = common.scaled_ks(common.DEFAULT_KS, scale)
     rows: List[Dict] = []
     for name in dataset_names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         n = len(stream)
-        marks = [round(i * n / n_checkpoints) for i in range(1, n_checkpoints + 1)]
+        marks = [round(i * n / N_CHECKPOINTS) for i in range(1, N_CHECKPOINTS + 1)]
         for k in ks:
             obj = common.make_algo("abacus", k, seed=13)
             t0 = time.perf_counter()
@@ -41,7 +39,7 @@ def scalability_series(
                     {
                         "dataset": name,
                         "k": k,
-                        "pct": i * 100 // n_checkpoints,
+                        "pct": i * 100 // N_CHECKPOINTS,
                         "elements": m,
                         "elapsed_s": time.perf_counter() - t0,
                     }

@@ -8,14 +8,22 @@ Substitution note (DESIGN.md §3): the paper's Java threads have ~µs
 dispatch overhead; a Spark job costs ~0.3 s per mini-batch, so the
 per-batch counting work must dominate that for parallelism to pay off
 and the absolute factors are smaller than the paper's. The monotone
-shapes are preserved and asserted in the benchmarks: speedup grows with
-M, with p, with k, and with butterfly density.
+shapes are preserved, and ``benchmarks/test_exhibits.py`` asserts them on
+the Fig. 8 and Fig. 9 tables: speedup grows with M, with p, with k, and
+with butterfly density.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
 from repro.experiments import common
+
+#: The densest and the sparsest dataset (Table II).
+DATASETS = ("movielens_lite", "orkut_lite")
+#: Fig. 9's parallelism grid and its fixed mini-batch size.
+THREAD_COUNTS = (2, 4, 8, 16)
+THREADS_BATCH_SIZE = 16000
+
 
 def _sequential_baseline(stream, k: int, seed: int) -> float:
     obj = common.make_algo("abacus", k, seed=seed)
@@ -25,13 +33,11 @@ def _sequential_baseline(stream, k: int, seed: int) -> float:
 
 def speedup_vs_batch(
     spark,
-    dataset_names: Sequence[str] = ("movielens_lite", "orkut_lite"),
+    dataset_names: Sequence[str] = DATASETS,
     ks: Sequence[int] | None = None,
     batch_sizes: Sequence[int] = (4000, 8000, 16000, 32000),
     n_groups: int = 16,
-    alpha: float = common.DEFAULT_ALPHA,
     scale: float = 1.0,
-    seed: int = 0,
 ) -> List[Dict]:
     """Fig. 8: speedup per (dataset, k, M) at fixed parallelism."""
     if ks is None:
@@ -39,7 +45,7 @@ def speedup_vs_batch(
     common.spark_warmup(spark)
     rows: List[Dict] = []
     for name in dataset_names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         for k in ks:
             t_seq = _sequential_baseline(stream, k, seed=21)
             for m in batch_sizes:
@@ -61,28 +67,18 @@ def speedup_vs_batch(
     return rows
 
 
-def speedup_vs_threads(
-    spark,
-    dataset_names: Sequence[str] = ("movielens_lite", "orkut_lite"),
-    ks: Sequence[int] | None = None,
-    thread_counts: Sequence[int] = (2, 4, 8, 16),
-    batch_size: int = 16000,
-    alpha: float = common.DEFAULT_ALPHA,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> List[Dict]:
+def speedup_vs_threads(spark, scale: float = 1.0) -> List[Dict]:
     """Fig. 9: speedup per (dataset, k, p) at fixed mini-batch size."""
-    if ks is None:
-        ks = common.scaled_ks(common.DEFAULT_KS, scale)
+    ks = common.scaled_ks(common.DEFAULT_KS, scale)
     common.spark_warmup(spark)
     rows: List[Dict] = []
-    for name in dataset_names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+    for name in DATASETS:
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         for k in ks:
             t_seq = _sequential_baseline(stream, k, seed=22)
-            for p in thread_counts:
+            for p in THREAD_COUNTS:
                 pb = common.make_algo(
-                    "parabacus", k, 22, spark, batch_size=batch_size, n_groups=p
+                    "parabacus", k, 22, spark, batch_size=THREADS_BATCH_SIZE, n_groups=p
                 )
                 _, t_par = common.timed_run(pb, stream)
                 rows.append(
@@ -90,7 +86,7 @@ def speedup_vs_threads(
                         "dataset": name,
                         "k": k,
                         "n_groups": p,
-                        "batch_size": batch_size,
+                        "batch_size": THREADS_BATCH_SIZE,
                         "t_seq_s": t_seq,
                         "t_par_s": t_par,
                         "speedup": t_seq / t_par,

@@ -20,7 +20,7 @@ def dataset_stats(scale: float = 1.0, spark=None) -> List[Dict]:
         edges = datasets.load(name, scale)
         pdf = exact.edges_to_pdf(edges)
         if spark is not None:
-            b = exact.butterflies_spark(exact.pdf_to_spark(spark, pdf))
+            b = exact.butterflies_spark(spark, pdf)
         else:
             b = exact.butterflies_duckdb(pdf)
         paper = datasets.PAPER_TABLE2[name]

@@ -19,24 +19,24 @@ from typing import Dict, List, Sequence
 from repro.experiments import common
 from repro.streamgen import datasets
 
+#: PARABACUS mini-batch size and group count. The paper's 500-edge
+#: mini-batch assumes ~µs thread dispatch; under Spark's ~0.3 s/job
+#: overhead the equivalent operating point is a few thousand edges
+#: (DESIGN.md §3).
+BATCH_SIZE = 8000
+N_GROUPS = 8
+
 
 def throughput_sweep(
     dataset_names: Sequence[str] | None = None,
     ks: Sequence[int] | None = None,
-    alpha: float = common.DEFAULT_ALPHA,
     scale: float = 1.0,
     algos: Sequence[str] = ("abacus", "abacus_ins", "fleet", "cas"),
     spark=None,
-    batch_size: int = 8000,
-    n_groups: int = 8,
-    seed: int = 0,
 ) -> List[Dict]:
     """Edges/second per (dataset, k, algo).
 
     ``ks`` are effective sample sizes (default: scaled full-scale grid).
-    ``batch_size`` applies to PARABACUS; the paper's 500-edge mini-batch
-    assumes ~µs thread dispatch — under Spark's ~0.3 s/job overhead the
-    equivalent operating point is a few thousand edges (DESIGN.md §3).
     """
     if ks is None:
         ks = common.scaled_ks(common.DEFAULT_KS, scale)
@@ -45,7 +45,7 @@ def throughput_sweep(
         common.spark_warmup(spark)
     rows: List[Dict] = []
     for name in names:
-        stream = common.make_stream(name, alpha, scale, seed=seed)
+        stream = common.make_stream(name, common.DEFAULT_ALPHA, scale)
         ins_stream = common.insertions_only(stream)
         for k in ks:
             for algo in algos:
@@ -57,7 +57,7 @@ def throughput_sweep(
                 else:
                     obj = common.make_algo(
                         algo, k, seed=11, spark=spark,
-                        batch_size=batch_size, n_groups=n_groups,
+                        batch_size=BATCH_SIZE, n_groups=N_GROUPS,
                     )
                     data = stream
                 _, elapsed = common.timed_run(obj, data)

@@ -61,16 +61,15 @@ def test_reference_vs_duckdb_random(seed):
 def test_spark_vs_duckdb_random(spark, seed):
     edges = zipf_bipartite(30, 30, 200, 0.9, 0.9, seed=seed)
     pdf = pdf_of(edges)
-    df = exact.pdf_to_spark(spark, pdf)
-    assert exact.butterflies_spark(df) == exact.butterflies_duckdb(pdf)
+    assert exact.butterflies_spark(spark, pdf) == exact.butterflies_duckdb(pdf)
 
 
 @pytest.mark.parametrize("center", ["l", "r"])
 def test_spark_center_choice_irrelevant(spark, center):
     edges = zipf_bipartite(20, 40, 180, 1.0, 0.6, seed=7)
     pdf = pdf_of(edges)
-    df = exact.pdf_to_spark(spark, pdf)
-    got = int(exact.butterflies_spark_df(df, center=center).first()["butterflies"])
+    df = spark.createDataFrame(pdf[["l", "r"]])
+    got = int(exact.butterflies_spark_df(df, center).first()["butterflies"])
     assert got == exact.butterflies_duckdb(pdf)
 
 
@@ -80,9 +79,9 @@ def test_spark_engine_against_oracle(spark, center, side):
     via the oracle (catches a broken join/aggregation, not just 'it ran')."""
     edges = zipf_bipartite(25, 25, 160, 0.8, 0.8, seed=11)
     pdf = pdf_of(edges)
-    df = exact.pdf_to_spark(spark, pdf)
+    df = spark.createDataFrame(pdf[["l", "r"]])
     assert_equivalent(
-        exact.butterflies_spark_df(df, center=center),
+        exact.butterflies_spark_df(df, center),
         exact.butterfly_sql(center, side),
         edges=pdf,
     )
@@ -93,7 +92,7 @@ def test_wedge_aggregation_oracle(spark):
     just the final scalar — a broken join would surface here."""
     edges = zipf_bipartite(25, 25, 160, 0.8, 0.8, seed=11)
     pdf = pdf_of(edges)
-    df = exact.pdf_to_spark(spark, pdf)
+    df = spark.createDataFrame(pdf[["l", "r"]])
     a = df.select(F.col("r").alias("c"), F.col("l").alias("s1"))
     b = df.select(F.col("r").alias("c"), F.col("l").alias("s2"))
     pairs = (
@@ -116,8 +115,7 @@ def test_wedge_aggregation_oracle(spark):
 def test_spark_engine_dedups_input(spark):
     edges = complete_bipartite(3, 3)
     pdf = pdf_of(edges + edges)  # duplicated rows
-    df = exact.pdf_to_spark(spark, pdf)
-    assert exact.butterflies_spark(df) == 9
+    assert exact.butterflies_spark(spark, pdf) == 9
 
 
 # ---------------------------------------------------------------------------

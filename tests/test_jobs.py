@@ -1,19 +1,12 @@
-"""Smoke tests for the ``jobs/run.py`` exhibit entrypoint.
+"""Smoke tests for the exhibit registry that ``jobs/run.py`` runs.
 
 Exhibits without Spark run end to end through ``main`` at tiny scale.
 Spark exhibits call their registry function with the shared fixture
 session instead, because ``main`` stops the session it uses.
 """
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-RUN = Path(__file__).resolve().parent.parent / "jobs" / "run.py"
-
-_spec = importlib.util.spec_from_file_location("jobs_run", RUN)
-run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run)
+from repro.experiments import exhibits
 
 NAMES = [
     "table2_stats",
@@ -33,17 +26,17 @@ SPARK_NAMES = {"table2_stats", "fig4_throughput", "fig8_speedup_batch",
 
 @pytest.mark.parametrize("name", NAMES)
 def test_job_importable(name):
-    tables, uses_spark = run.EXHIBITS[name]
+    tables, uses_spark = exhibits.EXHIBITS[name]
     assert callable(tables)
     assert uses_spark == (name in SPARK_NAMES)
 
 
 def test_registry_holds_only_the_nine_exhibits():
-    assert sorted(run.EXHIBITS) == sorted(NAMES)
+    assert sorted(exhibits.EXHIBITS) == sorted(NAMES)
 
 
 def main_output(name, capsys):
-    run.main([name, "--scale", "0.05"])
+    exhibits.main([name, "--scale", "0.05"])
     return capsys.readouterr().out
 
 
@@ -72,13 +65,13 @@ def test_fig7_job_tiny(capsys):
 
 
 def test_table2_job_tiny(spark):
-    ((title, rows, _),) = run.table2_stats(0.04, spark)
+    ((title, rows, _),) = exhibits.table2_stats(0.04, spark)
     assert title == "Table II — dataset statistics (scale=0.04)"
     assert {"movielens_lite", "orkut_lite"} <= {r["dataset"] for r in rows}
 
 
 def test_fig10_job_tiny(spark):
-    tables = run.fig10_load_balance(0.05, spark)
+    tables = exhibits.fig10_load_balance(0.05, spark)
     assert [title for title, _, _ in tables] == [
         "Fig. 10 — per-group intersection comparisons",
         "Fig. 10 — balance summary",
@@ -89,5 +82,5 @@ def test_fig10_job_tiny(spark):
 
 def test_unknown_exhibit_exits_2():
     with pytest.raises(SystemExit) as exc:
-        run.main(["fig11_nonexistent"])
+        exhibits.main(["fig11_nonexistent"])
     assert exc.value.code == 2

@@ -66,6 +66,20 @@ def test_delete_unsampled_edge_increments_cg():
     assert rp.c_g == 1 and rp.c_b == 0
 
 
+def test_delete_from_empty_live_set_raises_and_changes_nothing():
+    rp = RandomPairing(k=4, seed=0)
+    with pytest.raises(ValueError):
+        rp.delete(1, enc_right(1))
+    assert rp.triplet == (0, 0, 0)
+    # emptied again after an insert/delete pair: the pending c_b stays
+    rp.insert(1, enc_right(1))
+    rp.delete(1, enc_right(1))
+    with pytest.raises(ValueError):
+        rp.delete(2, enc_right(2))
+    assert rp.triplet == (0, 1, 0)
+    assert len(rp.sample) == 0
+
+
 def test_compensation_shrinks_counters():
     rp = RandomPairing(k=4, seed=3)
     for i in range(4):
