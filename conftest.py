@@ -47,9 +47,15 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 from repro.spark_util import get_session  # noqa: E402
+
+# Property tests draw the same examples on every run (no flaky tier-1),
+# a bounded number of them, with no per-example time limit on a slow box.
+settings.register_profile("repro", derandomize=True, max_examples=200, deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ class CasR:
         if sign < 0:
             return 0.0
         # Count before the membership probability shifts with this edge.
-        n_bf, comps = count_butterflies_with_sample(self.sample.adj, u, v)
+        n_bf, comps = count_butterflies_with_sample(self.sample, u, v)
         self.comparisons += comps
         q = self.q if self.n_seen >= self.capacity else 1.0
         adj_amount = n_bf / q**3 if n_bf else 0.0

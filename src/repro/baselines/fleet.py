@@ -56,7 +56,7 @@ class Fleet3:
         """Process one element; deletions are no-ops (returns 0.0)."""
         if sign < 0:
             return 0.0
-        n_bf, comps = count_butterflies_with_sample(self.sample.adj, u, v)
+        n_bf, comps = count_butterflies_with_sample(self.sample, u, v)
         self.comparisons += comps
         adj_amount = n_bf / self.p**3 if n_bf else 0.0
         self.estimate += adj_amount

@@ -2,8 +2,9 @@
 
 Modules
 -------
-encoding        left/right vertex id encoding for a flat adjacency dict
-sample_graph    bounded edge sample with adjacency + O(1) random eviction
+encoding        left/right vertex id encoding, StreamContractError
+sample_graph    sampled-edge adjacency (sets + dense-vertex bitsets) and the
+                bounded edge sample with O(1) random eviction
 counting        per-edge butterfly counting kernel (Alg. 1 lines 6-11)
 probability     Eq. 1 discovery probability, Thm. 2 variance formulas
 random_pairing  Random Pairing sampler (Alg. 2) with delta recording

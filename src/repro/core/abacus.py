@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from repro.core.counting import count_butterflies_with_sample
+from repro.core.encoding import assert_bipartite_edge
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import RandomPairing
 
@@ -34,10 +35,16 @@ class Abacus:
         self.comparisons = 0  # total set-intersection work (Sec. VI-G)
 
     def process(self, u: int, v: int, sign: int) -> float:
-        """Process one stream element; returns the estimate adjustment."""
+        """Process one stream element; returns the estimate adjustment.
+
+        Raises :class:`~repro.core.encoding.StreamContractError`, with no
+        state changed, when {u, v} is not bipartite.
+        """
+        if (u >= 0) == (v >= 0):  # the check inlined: it runs on every element
+            assert_bipartite_edge(u, v)
         rp = self.rp
         # Pre-update state (Appendix B: increments use p^(s-1)).
-        n_bf, comps = count_butterflies_with_sample(rp.sample.adj, u, v)
+        n_bf, comps = count_butterflies_with_sample(rp.sample, u, v)
         self.comparisons += comps
         adj_amount = 0.0
         if n_bf:

@@ -1,10 +1,10 @@
 """Per-edge butterfly counting kernel (Algorithm 1, lines 6-11).
 
-Given the sample adjacency and an incoming edge {u, v}, count how many
-butterflies the edge forms with edges of the sample. A butterfly
-{u, v, w, x} is discovered iff the three partner edges {u, w'},
-{w', x}, {x', v} are all in the sample; the kernel finds them via set
-intersections:
+Given the sample's :class:`~repro.core.sample_graph.Adjacency` and an
+incoming edge {u, v}, count how many butterflies the edge forms with
+edges of the sample. A butterfly {u, v, w, x} is discovered iff the three
+partner edges {u, w'}, {w', x}, {x', v} are all in the sample; the kernel
+finds them by intersecting neighbourhoods:
 
 - *Cheapest-side selection* (line 7): explore the neighbors (in the
   sample) of the endpoint whose sampled neighborhood has the smaller
@@ -12,34 +12,41 @@ intersections:
   side yielding cheaper intersections.
 - For each explored neighbor ``w`` of that endpoint, the common
   neighbors ``CN = N_w ∩ N_other`` each close one butterfly (lines
-  8-11). The endpoint itself is excluded from ``CN`` (it may appear
-  there when the incoming edge is a deletion whose edge is still
-  sampled — the paper's running example makes the same exclusion).
+  8-11). ``|CN|`` is computed in one of two forms, which give the same
+  number: ``(bits[w] & bits[v]).bit_count()`` when both neighbourhoods
+  are dense enough to carry a bitset, else ``len(N_w & N_v)`` on the
+  sets.
+- The endpoint itself is excluded from ``CN``: it is in every ``CN``
+  exactly when the incoming edge is still sampled (a deletion whose edge
+  is in the sample — the paper's running example makes the same
+  exclusion), so the kernel then subtracts ``|N_u| - 1`` once.
 
-The kernel also reports the number of element *comparisons* performed
-inside the intersections (cost = size of the smaller set, which is what
-CPython's ``set.__and__`` iterates) — the per-thread workload metric of
-Fig. 10 and the "vertices examined" totals of Sec. VI-G.
+The kernel also reports the number of element *comparisons* of the
+intersections: the size of the smaller set, which is what CPython's
+``set.__and__`` iterates. This is the set path's cost model, counted the
+same whichever form ran, so it is a property of the sample and the
+stream alone — the per-thread workload metric of Fig. 10 and the
+"vertices examined" totals of Sec. VI-G.
 
-It operates on a plain ``dict[int, set[int]]`` so the very same code
-runs on the driver (ABACUS) and inside Spark tasks (PARABACUS) against a
-broadcast adjacency.
+The same code runs on the driver (ABACUS, FLEET3, CAS-R) and inside
+Spark tasks (PARABACUS) against an adjacency rebuilt from the broadcast.
 """
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Tuple
+
+from repro.core.sample_graph import Adjacency
 
 _EMPTY: frozenset = frozenset()
 
 
-def count_butterflies_with_sample(
-    adj: Dict[int, Set[int]], u: int, v: int
-) -> Tuple[int, int]:
+def count_butterflies_with_sample(sample: Adjacency, u: int, v: int) -> Tuple[int, int]:
     """Count butterflies the edge {u, v} forms with the sampled edges.
 
-    Returns ``(n_butterflies, comparisons)``. ``adj`` is the sample's
-    adjacency; {u, v} itself may or may not be present (deletion case).
+    Returns ``(n_butterflies, comparisons)``. {u, v} itself may or may
+    not be in ``sample`` (deletion case).
     """
+    adj = sample.adj
     nu = adj.get(u, _EMPTY)
     nv = adj.get(v, _EMPTY)
     if not nu or not nv:
@@ -54,16 +61,21 @@ def count_butterflies_with_sample(
         u, v = v, u
         nu, nv = nv, nu
 
+    bits = sample.bits
+    bv = bits.get(v)
+    lv = len(nv)
     count = 0
     comparisons = 0
     for w in nu:
         if w == v:
             continue
         nw = adj[w]
-        comparisons += min(len(nw), len(nv))
-        cn = nw & nv
-        c = len(cn)
-        if u in cn:
-            c -= 1
-        count += c
+        lw = len(nw)
+        comparisons += lw if lw < lv else lv
+        if bv is not None and (bw := bits.get(w)) is not None:
+            count += (bw & bv).bit_count()
+        else:
+            count += len(nw & nv)
+    if v in nu:
+        count -= len(nu) - 1
     return count, comparisons

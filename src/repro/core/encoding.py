@@ -3,10 +3,16 @@
 The two bipartitions live in one flat integer id space so that a single
 ``dict[int, set[int]]`` adjacency serves both sides: left vertices keep
 their non-negative ids, right vertices are mapped to negative ids via
-``r -> -r - 1``. Bipartiteness then holds by construction (an edge always
-connects a non-negative and a negative id) and is asserted in tests.
+``r -> -r - 1``. An edge is bipartite iff it connects a non-negative and
+a negative id; the estimators reject any other element at the stream
+boundary with :class:`StreamContractError`.
 """
 from __future__ import annotations
+
+
+class StreamContractError(ValueError):
+    """A stream element breaks the stream contract: an edge that is not
+    bipartite under the encoding, or an edge inserted while already live."""
 
 
 def enc_left(u: int) -> int:
@@ -36,6 +42,7 @@ def is_left(v: int) -> bool:
 
 
 def assert_bipartite_edge(u: int, v: int) -> None:
-    """Raise unless exactly one endpoint is left-encoded."""
+    """Raise :class:`StreamContractError` unless exactly one endpoint is
+    left-encoded."""
     if is_left(u) == is_left(v):
-        raise ValueError(f"edge ({u}, {v}) is not bipartite under the encoding")
+        raise StreamContractError(f"edge ({u}, {v}) is not bipartite under the encoding")

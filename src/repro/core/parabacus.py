@@ -6,11 +6,15 @@ Per mini-batch of M elements:
    the pre-update triplet ``(|E|, c_b, c_g)`` (Sec. V-A's cached
    ``{s, c_b, c_g}``) and the delta ``S_{j-1} -> S_j`` produced by
    Random Pairing. The base version ``S_0`` is snapshotted once (as an
-   edge list — cheap to broadcast; tasks rebuild the adjacency in O(k)).
+   edge list — cheap to broadcast; tasks build the adjacency in bulk,
+   in O(k)). The whole batch is checked to be bipartite first.
 2. **Parallel per-edge counting**: the M edges are split into ``p``
    contiguous equal-sized groups (the paper's thread assignment). Each
-   group replays the broadcast deltas from ``S_0`` up to its first edge,
-   then counts every one of its edges against that edge's version and
+   group replays the broadcast deltas on ``S_0``'s edge set up to its
+   first edge and builds that version as a
+   :class:`~repro.core.sample_graph.Adjacency` (neighbour sets, plus
+   bitsets on dense vertices). It then counts every one of its edges
+   against that edge's version with the same kernel ABACUS runs, and
    extrapolates with the Eq. 1 increment from the cached triplet. The
    group emits ``(partial_count, comparisons)``.
 3. **Consolidation** is free: the driver's live sample already advanced
@@ -30,13 +34,14 @@ same RNG seed, up to float summation order.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
+from repro.core.encoding import assert_bipartite_edge
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import Op, RandomPairing
-from repro.core.sample_graph import Edge
+from repro.core.sample_graph import Adjacency, Edge
 
 Triplet = Tuple[int, int, int]
 
@@ -44,30 +49,6 @@ Triplet = Tuple[int, int, int]
 # ---------------------------------------------------------------------------
 # version replay + per-group counting (shared by all executors)
 # ---------------------------------------------------------------------------
-def build_adjacency(edges: Iterable[Edge]) -> Dict[int, Set[int]]:
-    """Adjacency dict from an edge list (the broadcast S_0 payload)."""
-    adj: Dict[int, Set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
-def apply_op(adj: Dict[int, Set[int]], op: Op) -> None:
-    """Apply one sample delta op ('a'dd / 'r'emove) to an adjacency dict."""
-    kind, u, v = op
-    if kind == "a":
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    else:
-        for a, b in ((u, v), (v, u)):
-            s = adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del adj[a]
-
-
 def group_bounds(m: int, p: int) -> List[int]:
     """p+1 boundaries splitting range(m) into p contiguous balanced groups."""
     if m == 0:
@@ -89,25 +70,50 @@ def process_group(
 
     ``batch[j]``'s version is ``S_j`` = ``S_0`` + deltas[0..j-1]; the
     increment uses the cached pre-update triplet ``triplets[j]``.
-    Returns ``(partial_count, comparisons)``.
+    The group's first version is replayed on a plain edge set and built
+    in bulk; the group's own deltas are then replayed into the same
+    :class:`~repro.core.sample_graph.Adjacency` the kernel reads on the
+    driver. Returns ``(partial_count, comparisons)``.
     """
-    adj = build_adjacency(s0_edges)
-    for j in range(start):
-        for op in deltas[j]:
-            apply_op(adj, op)
+    sample = Adjacency(_edges_at(s0_edges, deltas[:start]))
     partial = 0.0
     comparisons = 0
     for j in range(start, stop):
         u, v, sign = batch[j]
-        n_bf, comps = count_butterflies_with_sample(adj, u, v)
+        n_bf, comps = count_butterflies_with_sample(sample, u, v)
         comparisons += comps
         if n_bf:
             n_live, c_b, c_g = triplets[j]
             p = discovery_probability(k, n_live, c_b, c_g)
             partial += (n_bf if sign > 0 else -n_bf) / p
-        for op in deltas[j]:
-            apply_op(adj, op)
+        for kind, a, b in deltas[j]:
+            if kind == "a":
+                sample.add(a, b)
+            else:
+                sample.remove(a, b)
     return partial, comparisons
+
+
+def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[Edge, None]:
+    """Edges of ``S_0`` + ``deltas``, as canonical (left, right) pairs.
+
+    Replayed on an edge set, not an :class:`Adjacency`: a group replays up
+    to M deltas before its first element, and keeping neighbour sets and
+    bitsets current through all of them costs more than its counting.
+    The set is an insertion-ordered dict: building the adjacency in
+    ``S_0``'s order is faster than in a set's hash order, which scatters
+    memory accesses.
+    """
+    live = dict.fromkeys(s0_edges)
+    for ops in deltas:
+        for kind, u, v in ops:
+            e = (u, v) if u >= 0 else (v, u)
+            if kind == "a":
+                live[e] = None
+            else:
+                del live[e]
+    return live
+
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +187,14 @@ class ParAbacus:
         self.group_comparisons: Dict[int, int] = {}
 
     def process_batch(self, batch: Sequence[Element]) -> float:
-        """Process one mini-batch; returns the batch's count adjustment."""
+        """Process one mini-batch; returns the batch's count adjustment.
+
+        Raises :class:`~repro.core.encoding.StreamContractError`, with no
+        state changed, when any element of the batch is not bipartite.
+        """
+        for u, v, _ in batch:
+            if (u >= 0) == (v >= 0):  # the check inlined: it runs on every element
+                assert_bipartite_edge(u, v)
         rp = self.rp
         s0_edges = rp.sample.edges()
         deltas: List[List[Op]] = []

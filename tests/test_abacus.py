@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import exact, probability
 from repro.core.abacus import Abacus
-from repro.core.encoding import enc_right
+from repro.core.encoding import StreamContractError, enc_right
+from repro.experiments.common import make_stream
 from repro.streamgen.graphs import complete_bipartite, zipf_bipartite
 from repro.streamgen.stream import final_edges, fully_dynamic_stream
 
@@ -120,6 +121,28 @@ def test_increment_uses_pre_update_state():
     # incoming (0, v): pre-state |E|=3, cb=cg=0, y=min(3,3)=3 -> Pr=1
     adj = ab.process(0, enc_right(0), 1)
     assert adj == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("u,v", [(0, 1), (enc_right(0), enc_right(1))])
+def test_non_bipartite_element_rejected_before_any_state_change(u, v):
+    edges = zipf_bipartite(10, 10, 40, seed=3)
+    ab = Abacus(k=15, seed=3)
+    ab.process_stream([(a, b, 1) for a, b in edges])
+    before = (ab.estimate, ab.comparisons, ab.rp.triplet, sorted(ab.rp.sample.edges()))
+    for sign in (1, -1):
+        with pytest.raises(StreamContractError):
+            ab.process(u, v, sign)
+    assert (ab.estimate, ab.comparisons, ab.rp.triplet, sorted(ab.rp.sample.edges())) == before
+
+
+def test_comparisons_pinned_on_movielens_prefix():
+    """Fig. 10's metric is Σ min(|N_w|, |N_v|) whichever intersection form
+    runs: these are the values the set-only kernel produced."""
+    stream = make_stream("movielens_lite", 0.2, scale=0.25, seed=0)[:8000]
+    ab = Abacus(k=3000, seed=0)
+    ab.process_stream(stream)
+    assert ab.comparisons == 442272
+    assert ab.estimate == 362136.1273104663
 
 
 def test_deterministic_given_seed():

@@ -2,10 +2,12 @@
 import random
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import enc_right
-from repro.core.sample_graph import SampleGraph
+from repro.core.sample_graph import Adjacency, SampleGraph
 
 
 def brute_force_per_edge(adj, u, v):
@@ -39,13 +41,13 @@ def random_sample_graph(n_left, n_right, n_edges, seed):
 
 
 def test_empty_sample_counts_zero():
-    assert count_butterflies_with_sample({}, 1, enc_right(1)) == (0, 0)
+    assert count_butterflies_with_sample(Adjacency(), 1, enc_right(1)) == (0, 0)
 
 
 def test_endpoint_absent_counts_zero():
     g = SampleGraph()
     g.add(1, enc_right(1))
-    assert count_butterflies_with_sample(g.adj, 2, enc_right(2)) == (0, 0)
+    assert count_butterflies_with_sample(g, 2, enc_right(2)) == (0, 0)
 
 
 def test_single_butterfly_closure():
@@ -56,7 +58,7 @@ def test_single_butterfly_closure():
     g.add(u, w)
     g.add(x, v)
     g.add(x, w)
-    n, comps = count_butterflies_with_sample(g.adj, u, v)
+    n, comps = count_butterflies_with_sample(g, u, v)
     assert n == 1
     assert comps >= 1
 
@@ -71,7 +73,7 @@ def test_counts_do_not_include_incoming_edge_itself():
     g.add(u, w)
     g.add(x, v)
     g.add(x, w)
-    n, _ = count_butterflies_with_sample(g.adj, u, v)
+    n, _ = count_butterflies_with_sample(g, u, v)
     assert n == 1  # only {u, v, w, x}; nothing degenerate
 
 
@@ -84,7 +86,7 @@ def test_complete_bipartite_closure_count():
         for j in range(b):
             if (i, j) != (0, 0):
                 g.add(i, enc_right(j))
-    n, _ = count_butterflies_with_sample(g.adj, 0, enc_right(0))
+    n, _ = count_butterflies_with_sample(g, 0, enc_right(0))
     assert n == (a - 1) * (b - 1)
 
 
@@ -93,7 +95,7 @@ def test_kernel_matches_brute_force_on_random_graphs(seed):
     g, rng = random_sample_graph(8, 8, 30, seed)
     for _ in range(30):
         u, v = rng.randrange(8), enc_right(rng.randrange(8))
-        n, comps = count_butterflies_with_sample(g.adj, u, v)
+        n, comps = count_butterflies_with_sample(g, u, v)
         assert n == brute_force_per_edge(g.adj, u, v), (u, v)
         assert comps >= 0
 
@@ -104,8 +106,8 @@ def test_kernel_symmetric_in_edge_orientation(seed):
     for _ in range(20):
         u, v = rng.randrange(7), enc_right(rng.randrange(7))
         assert (
-            count_butterflies_with_sample(g.adj, u, v)[0]
-            == count_butterflies_with_sample(g.adj, v, u)[0]
+            count_butterflies_with_sample(g, u, v)[0]
+            == count_butterflies_with_sample(g, v, u)[0]
         )
 
 
@@ -121,7 +123,7 @@ def test_comparisons_counts_min_set_sizes():
     g.add(x1, v)
     g.add(x2, v)
     g.add(3, v)
-    n, comps = count_butterflies_with_sample(g.adj, u, v)
+    n, comps = count_butterflies_with_sample(g, u, v)
     assert n == 2  # x1 and x2 both close butterflies
     # cheapest side: N_u (cum degree 3) vs N_v (cum deg 2+2+1=5) -> iterate N_u
     # one intersection: min(|N_w|=3, |N_v|=3) = 3
@@ -137,6 +139,71 @@ def test_cheap_side_selection_does_not_change_count(seed):
         for j in range(12):
             v = enc_right(j)
             assert (
-                count_butterflies_with_sample(g.adj, u, v)[0]
+                count_butterflies_with_sample(g, u, v)[0]
                 == brute_force_per_edge(g.adj, u, v)
             )
+
+
+# ---------------------------------------------------------------------------
+# property tests: both intersection forms against brute force
+# ---------------------------------------------------------------------------
+def set_only_comparisons(adj, u, v):
+    """Σ min(|N_w|, |N_v|) over the cheaper endpoint's neighbours w ≠ v,
+    the cost model ``comparisons`` reports whichever form ran."""
+    nu, nv = adj.get(u, set()), adj.get(v, set())
+    if not nu or not nv:
+        return 0
+    if sum(len(adj[x]) for x in nu) > sum(len(adj[x]) for x in nv):
+        u, v, nu, nv = v, u, nv, nu
+    return sum(min(len(adj[w]), len(nv)) for w in nu if w != v)
+
+
+@st.composite
+def spread_bipartite_graphs(draw):
+    """Up to 7 vertices per side, ids spread over a drawn span of up to 1024.
+
+    With BITS_PER_NEIGHBOUR = 256, a vertex of degree d carries a bitset
+    iff d * 256 reaches the opposite side's span, so spans below 256 put
+    every vertex on a bitset and larger ones split the vertices by
+    degree: kernel pairs land on bitsets, on sets and on mixes.
+    """
+    sides = []
+    for _ in range(2):
+        span = draw(st.integers(1, 1024))
+        ids = draw(st.lists(st.integers(0, span - 1), unique=True, max_size=6))
+        sides.append(sorted({span - 1, *ids}))
+    lefts, rights = sides[0], [enc_right(r) for r in sides[1]]
+    pairs = [(u, v) for u in lefts for v in rights]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return lefts, rights, edges
+
+
+@given(spread_bipartite_graphs())
+def test_kernel_matches_brute_force_on_bitsets_sets_and_mixes(graph):
+    lefts, rights, edges = graph
+    g = SampleGraph()
+    for ed in edges:
+        g.add(*ed)
+    bulk = Adjacency(edges)
+    forms = {(u in g.bits) + (v in g.bits) for u in lefts for v in rights}
+    event(f"bitset endpoints per pair: {sorted(forms)}")
+    for u in lefts:
+        for v in rights:  # {u, v} sampled (deletion case) or not
+            want = (brute_force_per_edge(g.adj, u, v), set_only_comparisons(g.adj, u, v))
+            assert count_butterflies_with_sample(g, u, v) == want, (u, v)
+            assert count_butterflies_with_sample(bulk, v, u)[0] == want[0], (u, v)
+
+
+def test_kernel_mixed_bitset_and_set_pair():
+    """Left span 1024: a right vertex needs 4 neighbours for a bitset. N(w)
+    has 4 and N(v) 2, so |N(w) ∩ N(v)| comes from the sets; {u, v} is
+    sampled, so u is dropped from that intersection once."""
+    u, x, y, far = 0, 1, 2, 1023
+    v, w = enc_right(0), enc_right(1)
+    g = SampleGraph()
+    for ed in ((u, v), (x, v), (u, w), (x, w), (y, w), (far, w),
+               (x, enc_right(2)), (x, enc_right(3))):
+        g.add(*ed)
+    assert w in g.bits and v not in g.bits
+    assert brute_force_per_edge(g.adj, u, v) == 1
+    assert count_butterflies_with_sample(g, u, v) == (1, 2)  # explores N(u) = {v, w}

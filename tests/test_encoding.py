@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.encoding import (
+    StreamContractError,
     assert_bipartite_edge,
     dec_right,
     enc_left,
@@ -56,5 +57,5 @@ def test_assert_bipartite_edge_accepts_mixed():
 
 @pytest.mark.parametrize("u,v", [(1, 2), (enc_right(1), enc_right(2))])
 def test_assert_bipartite_edge_rejects_same_side(u, v):
-    with pytest.raises(ValueError):
+    with pytest.raises(StreamContractError):
         assert_bipartite_edge(u, v)

@@ -9,12 +9,10 @@ from repro.core.parabacus import (
     ParAbacus,
     RDDExecutor,
     SerialExecutor,
-    apply_op,
-    build_adjacency,
     group_bounds,
     process_group,
 )
-from repro.core.encoding import enc_right
+from repro.core.encoding import StreamContractError, enc_right
 from repro.streamgen.graphs import zipf_bipartite
 from repro.streamgen.stream import final_edges, fully_dynamic_stream
 
@@ -43,26 +41,6 @@ def test_group_bounds_more_groups_than_items():
 
 def test_group_bounds_empty_batch():
     assert group_bounds(0, 4) == [0]
-
-
-def test_apply_op_roundtrip():
-    adj = {}
-    apply_op(adj, ("a", 1, enc_right(1)))
-    assert adj == {1: {enc_right(1)}, enc_right(1): {1}}
-    apply_op(adj, ("r", 1, enc_right(1)))
-    assert adj == {}
-
-
-def test_apply_op_remove_keeps_other_neighbors():
-    adj = build_adjacency([(1, enc_right(1)), (1, enc_right(2))])
-    apply_op(adj, ("r", 1, enc_right(1)))
-    assert adj[1] == {enc_right(2)}
-    assert enc_right(1) not in adj
-
-
-def test_build_adjacency():
-    adj = build_adjacency([(1, enc_right(1)), (2, enc_right(1))])
-    assert adj[enc_right(1)] == {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +115,20 @@ def test_process_group_version_replay():
     # group [0, 1): edge (x, v) sees S_0 -> no butterfly
     partial0, _ = process_group(s0, batch, deltas, triplets, k=10, start=0, stop=1)
     assert partial0 == 0.0
+
+
+def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
+    stream = stream_of(4)
+    pb = ParAbacus(k=20, batch_size=30, seed=4, executor=SerialExecutor(3))
+    pb.process_stream(stream[:60])
+    before = (pb.estimate, pb.comparisons, dict(pb.group_comparisons), pb.rp.triplet,
+              sorted(pb.rp.sample.edges()), pb.rp.rng.getstate())
+    batch = stream[60:90]
+    batch[20] = (0, 1, 1)  # both endpoints left-encoded
+    with pytest.raises(StreamContractError):
+        pb.process_batch(batch)
+    assert (pb.estimate, pb.comparisons, dict(pb.group_comparisons), pb.rp.triplet,
+            sorted(pb.rp.sample.edges()), pb.rp.rng.getstate()) == before
 
 
 def test_batch_size_validation():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.encoding import enc_right
+from repro.core.encoding import StreamContractError, enc_right
 from repro.core.random_pairing import RandomPairing
 from repro.streamgen.graphs import zipf_bipartite
 from repro.streamgen.stream import final_edges, fully_dynamic_stream
@@ -217,3 +217,11 @@ def test_deterministic_given_seed():
     run_stream(b, stream)
     assert sorted(a.sample.edges()) == sorted(b.sample.edges())
     assert a.triplet == b.triplet
+
+
+def test_duplicate_insert_of_sampled_edge_is_a_contract_error():
+    rp = RandomPairing(k=5, seed=0)
+    rp.insert(0, enc_right(0))
+    with pytest.raises(StreamContractError):
+        rp.insert(0, enc_right(0))
+    assert len(rp.sample) == 1

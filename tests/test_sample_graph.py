@@ -1,10 +1,11 @@
-"""Tests for the SampleGraph adjacency + O(1) random-eviction structure."""
+"""Tests for the sampled-edge Adjacency (sets + dense bitsets) and the
+SampleGraph O(1) random-eviction structure built on it."""
 import random
 
 import pytest
 
-from repro.core.encoding import enc_right
-from repro.core.sample_graph import SampleGraph, canon
+from repro.core.encoding import StreamContractError, dec_right, enc_right
+from repro.core.sample_graph import BITS_PER_NEIGHBOUR, Adjacency, SampleGraph, canon
 
 
 def e(u, r):
@@ -50,6 +51,16 @@ def test_duplicate_add_raises():
     g.add(*e(1, 1))
     with pytest.raises(ValueError):
         g.add(*e(1, 1))
+
+
+def test_duplicate_add_is_a_contract_error_and_changes_nothing():
+    g = SampleGraph()
+    g.add(*e(1, 1))
+    g.add(*e(2, 1))
+    before = (g.edges(), {x: set(n) for x, n in g.adj.items()}, dict(g.bits), list(g.span))
+    with pytest.raises(StreamContractError):
+        g.add(*reversed(e(2, 1)))
+    assert (g.edges(), g.adj, g.bits, g.span) == before
 
 
 def test_remove_absent_raises():
@@ -104,28 +115,104 @@ def test_random_edge_uniform(seed):
         assert abs(c - expected) < 6 * expected**0.5, (ed, c, expected)
 
 
+def assert_bitsets_mirror_sets(g):
+    """Bit i of bits[x] is set iff the neighbour with bit index i is in
+    adj[x]; x has a bitset iff it is dense; no isolated vertex keeps one."""
+    assert set(g.bits) <= set(g.adj)
+    for x, nbrs in g.adj.items():
+        dense = len(nbrs) * BITS_PER_NEIGHBOUR >= g.span[x >= 0]
+        assert (x in g.bits) == dense, x
+        if dense:
+            assert g.bits[x] == sum(1 << (y if y >= 0 else dec_right(y)) for y in nbrs), x
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_mutation_sequence_consistency(seed):
-    """Model-based: SampleGraph matches a reference set+adjacency model."""
-    rng = random.Random(seed)
+    """Model-based: SampleGraph matches a reference set+adjacency model.
+
+    Stride 1 keeps every id span below BITS_PER_NEIGHBOUR, so every vertex
+    carries a bitset; stride 150 spreads the ids over spans of up to 751,
+    so only vertices of degree >= 3 do, and vertices cross that line both
+    ways.
+    """
+    for stride in (1, 150):
+        rng = random.Random(seed)
+        g = SampleGraph()
+        ref = set()
+        spans = [0, 0]
+        for _ in range(400):
+            u, r = stride * rng.randrange(6), stride * rng.randrange(5)
+            ed = e(u, r)
+            if ed in ref:
+                g.remove(*ed)
+                ref.discard(ed)
+            else:
+                g.add(*ed)
+                ref.add(ed)
+                spans = [max(spans[0], u + 1), max(spans[1], r + 1)]
+            assert len(g) == len(ref)
+            assert g.span == spans
+            assert_bitsets_mirror_sets(g)
+        assert sorted(g.edges()) == sorted(ref)
+        ref_adj = {}
+        for u, v in ref:
+            ref_adj.setdefault(u, set()).add(v)
+            ref_adj.setdefault(v, set()).add(u)
+        assert g.adj == ref_adj
+
+
+def test_bitset_dropped_when_vertex_isolated():
     g = SampleGraph()
-    ref = set()
-    for _ in range(400):
-        u, r = rng.randrange(6), rng.randrange(5)
-        ed = e(u, r)
-        if ed in ref:
-            g.remove(*ed)
-            ref.discard(ed)
-        else:
-            g.add(*ed)
-            ref.add(ed)
-        assert len(g) == len(ref)
-    assert sorted(g.edges()) == sorted(ref)
-    ref_adj = {}
-    for u, v in ref:
-        ref_adj.setdefault(u, set()).add(v)
-        ref_adj.setdefault(v, set()).add(u)
-    assert g.adj == ref_adj
+    g.add(*e(1, 10))
+    g.add(*e(1, 11))
+    assert 1 in g.bits and enc_right(10) in g.bits
+    g.remove(*e(1, 10))
+    assert 1 in g.bits and enc_right(10) not in g.bits
+    g.remove(*e(1, 11))
+    assert g.bits == {}
+
+
+def test_span_growth_drops_bitsets_no_longer_dense():
+    g = SampleGraph()
+    g.add(*e(0, 5))
+    assert 0 in g.bits  # degree 1, right span 6
+    g.add(*e(1, 300))  # right span 301 > 1 * BITS_PER_NEIGHBOUR
+    assert 0 not in g.bits and 1 not in g.bits
+    assert_bitsets_mirror_sets(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stride", [1, 150])
+def test_bulk_build_equals_one_at_a_time(seed, stride):
+    rng = random.Random(seed)
+    edges = list({e(stride * rng.randrange(8), stride * rng.randrange(6)) for _ in range(30)})
+    bulk = Adjacency(edges)
+    one = Adjacency()
+    for ed in edges:
+        one.add(*ed)
+    assert (bulk.adj, bulk.bits, bulk.span) == (one.adj, one.bits, one.span)
+    assert_bitsets_mirror_sets(bulk)
+
+
+def test_adjacency_add_remove_roundtrip():
+    a = Adjacency()
+    a.add(1, enc_right(1))
+    assert a.adj == {1: {enc_right(1)}, enc_right(1): {1}}
+    a.remove(1, enc_right(1))
+    assert a.adj == {}
+    assert a.bits == {}
+
+
+def test_adjacency_remove_keeps_other_neighbors():
+    a = Adjacency([(1, enc_right(1)), (1, enc_right(2))])
+    a.remove(1, enc_right(1))
+    assert a.adj[1] == {enc_right(2)}
+    assert enc_right(1) not in a.adj
+
+
+def test_adjacency_bulk_build():
+    a = Adjacency([(1, enc_right(1)), (2, enc_right(1))])
+    assert a.adj[enc_right(1)] == {1, 2}
 
 
 def test_swap_pop_preserves_membership_after_removals():
