@@ -40,8 +40,7 @@ class Abacus:
         Raises :class:`~repro.core.encoding.StreamContractError`, with no
         state changed, when {u, v} is not bipartite.
         """
-        if (u >= 0) == (v >= 0):  # the check inlined: it runs on every element
-            assert_bipartite_edge(u, v)
+        assert_bipartite_edge(u, v)
         rp = self.rp
         # Pre-update state (Appendix B: increments use p^(s-1)).
         n_bf, comps = count_butterflies_with_sample(rp.sample, u, v)

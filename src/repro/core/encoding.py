@@ -44,5 +44,5 @@ def is_left(v: int) -> bool:
 def assert_bipartite_edge(u: int, v: int) -> None:
     """Raise :class:`StreamContractError` unless exactly one endpoint is
     left-encoded."""
-    if is_left(u) == is_left(v):
+    if (u >= 0) == (v >= 0):
         raise StreamContractError(f"edge ({u}, {v}) is not bipartite under the encoding")

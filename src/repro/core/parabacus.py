@@ -9,22 +9,24 @@ Per mini-batch of M elements:
    edge list — cheap to broadcast; tasks build the adjacency in bulk,
    in O(k)). The whole batch is checked to be bipartite first.
 2. **Parallel per-edge counting**: the M edges are split into ``p``
-   contiguous equal-sized groups (the paper's thread assignment). Each
-   group replays the broadcast deltas on ``S_0``'s edge set up to its
-   first edge and builds that version as a
+   contiguous equal-sized groups (the paper's thread assignment). A task
+   runs one group or a contiguous run of them (:func:`process_groups`):
+   it replays the broadcast deltas on ``S_0``'s edge set up to its first
+   edge and builds that version as a
    :class:`~repro.core.sample_graph.Adjacency` (neighbour sets, plus
    bitsets on dense vertices). It then counts every one of its edges
    against that edge's version with the same kernel ABACUS runs, and
-   extrapolates with the Eq. 1 increment from the cached triplet. The
+   extrapolates with the Eq. 1 increment from the cached triplet. Each
    group emits ``(partial_count, comparisons)``.
 3. **Consolidation** is free: the driver's live sample already advanced
    to ``S_M`` during step 1, which serves as the next batch's ``S_0``.
 
 Two executors run the *identical* group function:
 
-- :class:`SerialExecutor` — in-process loop, for fast Theorem-5
-  equivalence tests;
-- :class:`RDDExecutor` — one Spark RDD job per mini-batch (the paper's
+- :class:`SerialExecutor` — in-process loop, one group per call, for
+  fast Theorem-5 equivalence tests;
+- :class:`RDDExecutor` — one Spark RDD job per mini-batch, with at most
+  one task per core (the paper's
   contribution *is* this physical parallel operator, and the reproduction
   brief sanctions RDD for it); the speedup experiments (Figs. 8-10) use
   it, and it is equivalence-tested against ABACUS.
@@ -57,41 +59,45 @@ def group_bounds(m: int, p: int) -> List[int]:
     return [round(i * m / p) for i in range(p + 1)]
 
 
-def process_group(
+def process_groups(
     s0_edges: Sequence[Edge],
     batch: Sequence[Element],
     deltas: Sequence[Sequence[Op]],
     triplets: Sequence[Triplet],
     k: int,
-    start: int,
-    stop: int,
-) -> Tuple[float, int]:
-    """Count edges ``batch[start:stop]`` against their sample versions.
+    bounds: Sequence[int],
+) -> List[Tuple[float, int]]:
+    """Count the consecutive groups ``batch[bounds[i]:bounds[i + 1]]``
+    against their sample versions; one ``(partial_count, comparisons)``
+    per group.
 
     ``batch[j]``'s version is ``S_j`` = ``S_0`` + deltas[0..j-1]; the
     increment uses the cached pre-update triplet ``triplets[j]``.
-    The group's first version is replayed on a plain edge set and built
-    in bulk; the group's own deltas are then replayed into the same
+    The first group's version is replayed on a plain edge set and built
+    in bulk; every later delta is replayed into the same
     :class:`~repro.core.sample_graph.Adjacency` the kernel reads on the
-    driver. Returns ``(partial_count, comparisons)``.
+    driver, so consecutive groups share one replay.
     """
-    sample = Adjacency(_edges_at(s0_edges, deltas[:start]))
-    partial = 0.0
-    comparisons = 0
-    for j in range(start, stop):
-        u, v, sign = batch[j]
-        n_bf, comps = count_butterflies_with_sample(sample, u, v)
-        comparisons += comps
-        if n_bf:
-            n_live, c_b, c_g = triplets[j]
-            p = discovery_probability(k, n_live, c_b, c_g)
-            partial += (n_bf if sign > 0 else -n_bf) / p
-        for kind, a, b in deltas[j]:
-            if kind == "a":
-                sample.add(a, b)
-            else:
-                sample.remove(a, b)
-    return partial, comparisons
+    sample = Adjacency(_edges_at(s0_edges, deltas[: bounds[0]]))
+    out = []
+    for start, stop in zip(bounds, bounds[1:]):
+        partial = 0.0
+        comparisons = 0
+        for j in range(start, stop):
+            u, v, sign = batch[j]
+            n_bf, comps = count_butterflies_with_sample(sample, u, v)
+            comparisons += comps
+            if n_bf:
+                n_live, c_b, c_g = triplets[j]
+                p = discovery_probability(k, n_live, c_b, c_g)
+                partial += (n_bf if sign > 0 else -n_bf) / p
+            for kind, a, b in deltas[j]:
+                if kind == "a":
+                    sample.add(a, b)
+                else:
+                    sample.remove(a, b)
+        out.append((partial, comparisons))
+    return out
 
 
 def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[Edge, None]:
@@ -115,12 +121,12 @@ def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[
     return live
 
 
-
 # ---------------------------------------------------------------------------
 # executors
 # ---------------------------------------------------------------------------
 class SerialExecutor:
-    """Runs the group tasks sequentially in-process (tests / fallback)."""
+    """Runs the group tasks sequentially in-process (tests / fallback),
+    each group from its own replay, as an RDD task with one group does."""
 
     def __init__(self, n_groups: int = 4):
         self.n_groups = n_groups
@@ -129,8 +135,8 @@ class SerialExecutor:
         bounds = group_bounds(len(batch), self.n_groups)
         out = []
         for g in range(len(bounds) - 1):
-            partial, comps = process_group(
-                s0_edges, batch, deltas, triplets, k, bounds[g], bounds[g + 1]
+            ((partial, comps),) = process_groups(
+                s0_edges, batch, deltas, triplets, k, bounds[g : g + 2]
             )
             out.append((g, partial, comps))
         return out
@@ -140,10 +146,15 @@ class RDDExecutor:
     """Fan the group tasks out as one Spark RDD job per mini-batch.
 
     The versioned sample (S_0 edge list + deltas + triplets) and the
-    batch ride a broadcast variable; the job is ``parallelize(groups,
-    p).map(count_group).collect()``. This is the lowest-overhead Spark
-    mapping of the paper's one-thread-per-group model and is what the
-    speedup experiments use.
+    batch ride a broadcast variable; the job is ``parallelize(tasks,
+    n_tasks).flatMap(count_groups).collect()``. Spark runs at most
+    ``defaultParallelism`` tasks at once and each task has a fixed
+    dispatch cost, so the ``n_groups`` groups go to ``min(n_groups,
+    defaultParallelism)`` tasks, each counting a contiguous run of groups
+    with :func:`process_groups`. Groups stay the unit of work and of
+    reporting (Fig. 10's per-group comparisons). This is the
+    lowest-overhead Spark mapping of the paper's one-thread-per-group
+    model and is what the speedup experiments use.
     """
 
     def __init__(self, spark, n_groups: int = 8):
@@ -154,15 +165,18 @@ class RDDExecutor:
         sc = self.spark.sparkContext
         bounds = group_bounds(len(batch), self.n_groups)
         n_groups = len(bounds) - 1
+        n_tasks = min(n_groups, sc.defaultParallelism)
+        first = group_bounds(n_groups, n_tasks)  # task t: groups first[t]..first[t+1]-1
         bc = sc.broadcast((list(s0_edges), list(batch), list(deltas), list(triplets), k))
 
-        def task(g: int) -> Tuple[int, float, int]:
-            s0, b, d, t, budget = bc.value
-            partial, comps = process_group(s0, b, d, t, budget, bounds[g], bounds[g + 1])
-            return (g, partial, comps)
+        def task(t: int) -> List[Tuple[int, float, int]]:
+            s0, b, d, tr, budget = bc.value
+            lo, hi = first[t], first[t + 1]
+            counts = process_groups(s0, b, d, tr, budget, bounds[lo : hi + 1])
+            return [(g, partial, comps) for g, (partial, comps) in zip(range(lo, hi), counts)]
 
         try:
-            return sc.parallelize(range(n_groups), n_groups).map(task).collect()
+            return sc.parallelize(range(n_tasks), n_tasks).flatMap(task).collect()
         finally:
             bc.destroy()
 
@@ -193,8 +207,7 @@ class ParAbacus:
         state changed, when any element of the batch is not bipartite.
         """
         for u, v, _ in batch:
-            if (u >= 0) == (v >= 0):  # the check inlined: it runs on every element
-                assert_bipartite_edge(u, v)
+            assert_bipartite_edge(u, v)
         rp = self.rp
         s0_edges = rp.sample.edges()
         deltas: List[List[Op]] = []

@@ -32,14 +32,16 @@ trick on a dense edge list.
 Edges are unordered pairs; ``SampleGraph`` canonicalizes them as
 ``(left, right)`` using the sign-based encoding of
 :mod:`repro.core.encoding`. Every edge must be bipartite under that
-encoding: bit indices are only unique within one side.
+encoding, because bit indices are only unique within one side:
+``SampleGraph.add`` enforces it for every sampler (RP, FLEET3, CAS-R),
+and PARABACUS tasks only replay edges that passed it.
 """
 from __future__ import annotations
 
 import random
 from typing import Dict, Iterable, Set, Tuple
 
-from repro.core.encoding import StreamContractError, is_left
+from repro.core.encoding import StreamContractError, assert_bipartite_edge, is_left
 
 Edge = Tuple[int, int]
 
@@ -162,7 +164,9 @@ class SampleGraph(Adjacency):
 
     # -- mutation ----------------------------------------------------------
     def add(self, u: int, v: int) -> None:
-        """Insert edge {u, v}; ``StreamContractError`` if already present."""
+        """Insert edge {u, v}; ``StreamContractError``, with nothing
+        changed, if it is not bipartite or already present."""
+        assert_bipartite_edge(u, v)
         e = canon(u, v)
         if e in self._pos:
             raise StreamContractError(f"edge {e} already in sample")

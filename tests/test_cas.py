@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.cas import CasR
 from repro.core import exact
+from repro.core.encoding import StreamContractError
 from repro.streamgen.graphs import complete_bipartite, zipf_bipartite
 from repro.streamgen.stream import final_edges, fully_dynamic_stream
 
@@ -108,3 +109,15 @@ def test_effective_sample_smaller_than_fleet_for_same_budget():
     the paper's explanation for its (at best) FLEET-level accuracy."""
     cas = CasR(budget=100)
     assert cas.capacity < 100
+
+
+@pytest.mark.parametrize("u, v", [(0, 1), (-1, -2)])
+def test_non_bipartite_element_raises_before_sampling(u, v):
+    """The sample's bitsets index each side separately, so a same-side
+    edge must never enter it."""
+    algo = CasR(budget=300, seed=0)
+    algo.process(2, -3, 1)
+    with pytest.raises(StreamContractError):
+        algo.process(u, v, 1)
+    assert algo.sample.edges() == [(2, -3)]
+    assert set(algo.sample.adj) == {2, -3}

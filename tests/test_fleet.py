@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.fleet import Fleet3
 from repro.core import exact
+from repro.core.encoding import StreamContractError
 from repro.streamgen.graphs import complete_bipartite, zipf_bipartite
 from repro.streamgen.stream import final_edges, fully_dynamic_stream
 
@@ -106,3 +107,15 @@ def test_comparisons_counter_grows():
         fl.process(u, v, 1)
     assert fl.comparisons > 0
     assert fl.p == 1.0 and len(fl.sample) == len(edges)  # every insertion stored
+
+
+@pytest.mark.parametrize("u, v", [(0, 1), (-1, -2)])
+def test_non_bipartite_element_raises_before_sampling(u, v):
+    """The sample's bitsets index each side separately, so a same-side
+    edge must never enter it."""
+    algo = Fleet3(capacity=10, seed=0)
+    algo.process(2, -3, 1)
+    with pytest.raises(StreamContractError):
+        algo.process(u, v, 1)
+    assert algo.sample.edges() == [(2, -3)]
+    assert set(algo.sample.adj) == {2, -3}

@@ -10,7 +10,7 @@ from repro.core.parabacus import (
     RDDExecutor,
     SerialExecutor,
     group_bounds,
-    process_group,
+    process_groups,
 )
 from repro.core.encoding import StreamContractError, enc_right
 from repro.streamgen.graphs import zipf_bipartite
@@ -110,11 +110,16 @@ def test_process_group_version_replay():
     deltas = [[("a", x, v)], [("a", u, v)]]
     triplets = [(2, 0, 0), (3, 0, 0)]
     # group [1, 2): edge (u, v) must see S_1 (which has (x, v)) -> 1 butterfly
-    partial, _ = process_group(s0, batch, deltas, triplets, k=10, start=1, stop=2)
+    ((partial, _),) = process_groups(s0, batch, deltas, triplets, k=10, bounds=[1, 2])
     assert partial == pytest.approx(1.0)
     # group [0, 1): edge (x, v) sees S_0 -> no butterfly
-    partial0, _ = process_group(s0, batch, deltas, triplets, k=10, start=0, stop=1)
+    ((partial0, _),) = process_groups(s0, batch, deltas, triplets, k=10, bounds=[0, 1])
     assert partial0 == 0.0
+    # both groups in one call share one replay and give the same counts
+    assert process_groups(s0, batch, deltas, triplets, k=10, bounds=[0, 1, 2]) == [
+        process_groups(s0, batch, deltas, triplets, k=10, bounds=[0, 1])[0],
+        process_groups(s0, batch, deltas, triplets, k=10, bounds=[1, 2])[0],
+    ]
 
 
 def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
@@ -164,6 +169,28 @@ def test_spark_executors_report_comparisons(spark):
     pb = ParAbacus(k=25, batch_size=75, seed=13, executor=RDDExecutor(spark, 3))
     pb.process_stream(stream)
     assert pb.comparisons == ab.comparisons
+
+
+def test_rdd_executor_runs_more_groups_than_cores_in_one_task_wave(spark, monkeypatch):
+    """Groups share tasks (at most one per core) and report exactly what
+    the serial executor reports for each group on its own."""
+    sc = spark.sparkContext
+    n_groups = 2 * sc.defaultParallelism + 1
+    slices = []
+    parallelize = type(sc).parallelize
+
+    def spy(self, c, numSlices=None):
+        slices.append(numSlices)
+        return parallelize(self, c, numSlices)
+
+    monkeypatch.setattr(type(sc), "parallelize", spy)
+    stream = stream_of(17, n=200)
+    rdd = ParAbacus(k=30, batch_size=70, seed=17, executor=RDDExecutor(spark, n_groups))
+    serial = ParAbacus(k=30, batch_size=70, seed=17, executor=SerialExecutor(n_groups))
+    assert rdd.process_stream(stream) == serial.process_stream(stream)
+    assert rdd.group_comparisons == serial.group_comparisons
+    assert len(rdd.group_comparisons) == n_groups
+    assert slices and all(n == sc.defaultParallelism for n in slices)
 
 
 def test_rdd_executor_destroys_broadcast_when_a_task_fails(spark, monkeypatch):

@@ -49,15 +49,10 @@ def test_canon_orders_left_first():
 def test_duplicate_add_raises():
     g = SampleGraph()
     g.add(*e(1, 1))
-    with pytest.raises(ValueError):
-        g.add(*e(1, 1))
-
-
-def test_duplicate_add_is_a_contract_error_and_changes_nothing():
-    g = SampleGraph()
-    g.add(*e(1, 1))
     g.add(*e(2, 1))
     before = (g.edges(), {x: set(n) for x, n in g.adj.items()}, dict(g.bits), list(g.span))
+    with pytest.raises(StreamContractError):
+        g.add(*e(1, 1))
     with pytest.raises(StreamContractError):
         g.add(*reversed(e(2, 1)))
     assert (g.edges(), g.adj, g.bits, g.span) == before
