@@ -15,13 +15,6 @@ class StreamContractError(ValueError):
     bipartite under the encoding, or an edge inserted while already live."""
 
 
-def enc_left(u: int) -> int:
-    """Encode a left-partition vertex id (identity; must be >= 0)."""
-    if u < 0:
-        raise ValueError(f"left vertex id must be >= 0, got {u}")
-    return u
-
-
 def enc_right(r: int) -> int:
     """Encode a right-partition vertex id into the negative range."""
     if r < 0:

@@ -9,22 +9,23 @@ Per mini-batch of M elements:
    edge list — cheap to broadcast; tasks build the adjacency in bulk,
    in O(k)). The whole batch is checked to be bipartite first.
 2. **Parallel per-edge counting**: the M edges are split into ``p``
-   contiguous equal-sized groups (the paper's thread assignment). A task
-   runs one group or a contiguous run of them (:func:`process_groups`):
-   it replays the broadcast deltas on ``S_0``'s edge set up to its first
-   edge and builds that version as a
+   contiguous equal-sized groups (the paper's thread assignment). Every
+   executor runs the same task, :func:`process_groups`, over a contiguous
+   run of groups: it builds its first edge's version as a
    :class:`~repro.core.sample_graph.Adjacency` (neighbour sets, plus
-   bitsets on dense vertices). It then counts every one of its edges
-   against that edge's version with the same kernel ABACUS runs, and
-   extrapolates with the Eq. 1 increment from the cached triplet. Each
-   group emits ``(partial_count, comparisons)``.
+   bitsets on dense vertices), replaying the broadcast deltas on
+   ``S_0``'s edge set first only when it does not start at group 0. It
+   then counts every one of its edges against that edge's version with
+   the same kernel ABACUS runs, and extrapolates with the Eq. 1 increment
+   from the cached triplet. Each group emits ``(partial_count,
+   comparisons)``, and executors return these pairs in group order.
 3. **Consolidation** is free: the driver's live sample already advanced
    to ``S_M`` during step 1, which serves as the next batch's ``S_0``.
 
-Two executors run the *identical* group function:
+The two executors differ only in where the task runs:
 
-- :class:`SerialExecutor` — in-process loop, one group per call, for
-  fast Theorem-5 equivalence tests;
+- :class:`SerialExecutor` — in-process, one task over all of the batch's
+  groups, for fast Theorem-5 equivalence tests;
 - :class:`RDDExecutor` — one Spark RDD job per mini-batch, with at most
   one task per core (the paper's
   contribution *is* this physical parallel operator, and the reproduction
@@ -103,9 +104,10 @@ def process_groups(
 def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[Edge, None]:
     """Edges of ``S_0`` + ``deltas``, as canonical (left, right) pairs.
 
-    Replayed on an edge set, not an :class:`Adjacency`: a group replays up
-    to M deltas before its first element, and keeping neighbour sets and
-    bitsets current through all of them costs more than its counting.
+    Replayed on an edge set, not an :class:`Adjacency`: an RDD task that
+    does not start at group 0 replays up to M deltas before its first
+    element, and keeping neighbour sets and bitsets current through all
+    of them costs more than its counting.
     The set is an insertion-ordered dict: building the adjacency in
     ``S_0``'s order is faster than in a set's hash order, which scatters
     memory accesses.
@@ -125,21 +127,15 @@ def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[
 # executors
 # ---------------------------------------------------------------------------
 class SerialExecutor:
-    """Runs the group tasks sequentially in-process (tests / fallback),
-    each group from its own replay, as an RDD task with one group does."""
+    """Runs one batch in-process as a single task over all of its groups
+    (tests, and runs without Spark)."""
 
-    def __init__(self, n_groups: int = 4):
+    def __init__(self, n_groups: int):
         self.n_groups = n_groups
 
-    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[int, float, int]]:
+    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[float, int]]:
         bounds = group_bounds(len(batch), self.n_groups)
-        out = []
-        for g in range(len(bounds) - 1):
-            ((partial, comps),) = process_groups(
-                s0_edges, batch, deltas, triplets, k, bounds[g : g + 2]
-            )
-            out.append((g, partial, comps))
-        return out
+        return process_groups(s0_edges, batch, deltas, triplets, k, bounds)
 
 
 class RDDExecutor:
@@ -151,17 +147,18 @@ class RDDExecutor:
     ``defaultParallelism`` tasks at once and each task has a fixed
     dispatch cost, so the ``n_groups`` groups go to ``min(n_groups,
     defaultParallelism)`` tasks, each counting a contiguous run of groups
-    with :func:`process_groups`. Groups stay the unit of work and of
-    reporting (Fig. 10's per-group comparisons). This is the
+    with :func:`process_groups`. ``collect()`` keeps partition order, so
+    the per-group pairs come back in group order. Groups stay the unit of
+    work and of reporting (Fig. 10's per-group comparisons). This is the
     lowest-overhead Spark mapping of the paper's one-thread-per-group
     model and is what the speedup experiments use.
     """
 
-    def __init__(self, spark, n_groups: int = 8):
+    def __init__(self, spark, n_groups: int):
         self.spark = spark
         self.n_groups = n_groups
 
-    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[int, float, int]]:
+    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[float, int]]:
         sc = self.spark.sparkContext
         bounds = group_bounds(len(batch), self.n_groups)
         n_groups = len(bounds) - 1
@@ -169,11 +166,8 @@ class RDDExecutor:
         first = group_bounds(n_groups, n_tasks)  # task t: groups first[t]..first[t+1]-1
         bc = sc.broadcast((list(s0_edges), list(batch), list(deltas), list(triplets), k))
 
-        def task(t: int) -> List[Tuple[int, float, int]]:
-            s0, b, d, tr, budget = bc.value
-            lo, hi = first[t], first[t + 1]
-            counts = process_groups(s0, b, d, tr, budget, bounds[lo : hi + 1])
-            return [(g, partial, comps) for g, (partial, comps) in zip(range(lo, hi), counts)]
+        def task(t: int) -> List[Tuple[float, int]]:
+            return process_groups(*bc.value, bounds[first[t] : first[t + 1] + 1])
 
         try:
             return sc.parallelize(range(n_tasks), n_tasks).flatMap(task).collect()
@@ -187,13 +181,13 @@ class RDDExecutor:
 class ParAbacus:
     """Mini-batch PARABACUS with a pluggable group executor."""
 
-    def __init__(self, k: int, batch_size: int, seed: int = 0, executor=None):
+    def __init__(self, k: int, batch_size: int, seed: int = 0, *, executor):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.rp = RandomPairing(k, seed=seed)
         self.k = k
         self.batch_size = batch_size
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor
         self.estimate = 0.0
         self.comparisons = 0
         # per-group comparison totals, accumulated over the stream
@@ -216,9 +210,8 @@ class ParAbacus:
             triplets.append(rp.triplet)
             deltas.append(rp.insert(u, v) if sign > 0 else rp.delete(u, v))
         adjustment = 0.0
-        for g, partial, comps in self.executor.run(
-            s0_edges, batch, deltas, triplets, self.k
-        ):
+        counts = self.executor.run(s0_edges, batch, deltas, triplets, self.k)
+        for g, (partial, comps) in enumerate(counts):
             adjustment += partial
             self.comparisons += comps
             self.group_comparisons[g] = self.group_comparisons.get(g, 0) + comps

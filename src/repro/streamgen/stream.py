@@ -73,8 +73,3 @@ def final_edges(stream: Iterable[Element]) -> List[Edge]:
                 raise ValueError(f"deletion of non-live edge {e}")
             live.remove(e)
     return [e for e in order if e in live]
-
-
-def validate_stream(stream: Sequence[Element]) -> None:
-    """Raise unless every deletion follows its insertion and no live dup."""
-    final_edges(stream)  # raises on violation

@@ -5,7 +5,6 @@ from repro.core.encoding import (
     StreamContractError,
     assert_bipartite_edge,
     dec_right,
-    enc_left,
     enc_right,
     is_left,
 )
@@ -24,13 +23,7 @@ def test_right_is_negative(r):
 
 @pytest.mark.parametrize("u", [0, 1, 42, 10**9])
 def test_left_identity(u):
-    assert enc_left(u) == u
     assert is_left(u)
-
-
-def test_enc_left_rejects_negative():
-    with pytest.raises(ValueError):
-        enc_left(-1)
 
 
 def test_enc_right_rejects_negative():
@@ -45,7 +38,7 @@ def test_dec_right_rejects_nonnegative():
 
 def test_encoding_injective():
     """Left and right id spaces never collide."""
-    lefts = {enc_left(i) for i in range(100)}
+    lefts = set(range(100))
     rights = {enc_right(i) for i in range(100)}
     assert not lefts & rights
 

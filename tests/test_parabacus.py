@@ -2,8 +2,10 @@
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core import exact
+from repro.core import exact, parabacus
 from repro.core.abacus import Abacus
 from repro.core.parabacus import (
     ParAbacus,
@@ -122,6 +124,65 @@ def test_process_group_version_replay():
     ]
 
 
+def test_serial_executor_counts_a_batch_in_one_task(monkeypatch):
+    """One process_groups call (one replay) per batch, whatever the group count."""
+    calls = []
+    real = parabacus.process_groups
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(parabacus, "process_groups", spy)
+    pb = ParAbacus(k=20, batch_size=40, seed=2, executor=SerialExecutor(5))
+    pb.process_stream(stream_of(2)[:100])
+    assert calls == [group_bounds(40, 5), group_bounds(40, 5), group_bounds(20, 5)]
+
+
+class PerGroupReference(SerialExecutor):
+    """SerialExecutor that also runs each group from its own replay (one
+    process_groups call per group) and keeps both results per batch."""
+
+    def __init__(self, n_groups):
+        super().__init__(n_groups)
+        self.batches = []
+
+    def run(self, s0_edges, batch, deltas, triplets, k):
+        packed = super().run(s0_edges, batch, deltas, triplets, k)
+        bounds = group_bounds(len(batch), self.n_groups)
+        per_group = [
+            process_groups(s0_edges, batch, deltas, triplets, k, bounds[g : g + 2])[0]
+            for g in range(len(bounds) - 1)
+        ]
+        self.batches.append((packed, per_group))
+        return packed
+
+
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7).map(enc_right)),
+        min_size=1, max_size=60, unique=True,
+    ),
+    alpha=st.floats(0.0, 0.9),
+    k=st.integers(2, 40),
+    batch_size=st.integers(1, 40),
+    n_groups=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_task_matches_per_group_replay_and_abacus(
+    edges, alpha, k, batch_size, n_groups, seed
+):
+    stream = fully_dynamic_stream(edges, alpha, seed=seed)
+    ex = PerGroupReference(n_groups)
+    pb = ParAbacus(k, batch_size=batch_size, seed=seed, executor=ex)
+    ab = Abacus(k, seed=seed)
+    assert pb.process_stream(stream) == pytest.approx(
+        ab.process_stream(stream), rel=1e-9, abs=1e-9
+    )
+    assert pb.comparisons == ab.comparisons
+    assert ex.batches and all(packed == per_group for packed, per_group in ex.batches)
+
+
 def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
     stream = stream_of(4)
     pb = ParAbacus(k=20, batch_size=30, seed=4, executor=SerialExecutor(3))
@@ -138,7 +199,7 @@ def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
 
 def test_batch_size_validation():
     with pytest.raises(ValueError):
-        ParAbacus(k=5, batch_size=0)
+        ParAbacus(k=5, batch_size=0, executor=SerialExecutor(1))
 
 
 def test_partial_batch_flushed_at_stream_end():
