@@ -38,22 +38,26 @@ class Abacus:
         """Process one stream element; returns the estimate adjustment.
 
         Raises :class:`~repro.core.encoding.StreamContractError`, with no
-        state changed, when {u, v} is not bipartite.
+        state changed, when {u, v} is not bipartite, is inserted while
+        sampled, or is deleted while no edge is live.
         """
         assert_bipartite_edge(u, v)
         rp = self.rp
         # Pre-update state (Appendix B: increments use p^(s-1)).
         n_bf, comps = count_butterflies_with_sample(rp.sample, u, v)
-        self.comparisons += comps
         adj_amount = 0.0
         if n_bf:
             p = discovery_probability(self.k, rp.n_live, rp.c_b, rp.c_g)
             adj_amount = (n_bf if sign > 0 else -n_bf) / p
-            self.estimate += adj_amount
+        # The sampler raises, with nothing changed, on a contract breach it
+        # can see; the counters move only once it has accepted the element.
         if sign > 0:
             rp.insert(u, v)
         else:
             rp.delete(u, v)
+        self.comparisons += comps
+        if n_bf:
+            self.estimate += adj_amount
         return adj_amount
 
     def process_stream(self, stream: Iterable[Element]) -> float:

@@ -9,7 +9,13 @@ finds them by intersecting neighbourhoods:
 - *Cheapest-side selection* (line 7): explore the neighbors (in the
   sample) of the endpoint whose sampled neighborhood has the smaller
   cumulative degree — the common heuristic of [28], [20] that picks the
-  side yielding cheaper intersections.
+  side yielding cheaper intersections. A heavy endpoint ``x`` (one with a
+  bitset and at least ``HEAVY_DEGREE`` neighbours) gets that sum exactly
+  from the degree planes of its neighbours' side,
+  ``Σ_j (bits[x] & deg[side][j]).bit_count() << j`` (one popcount per
+  bit of the largest degree there); any other endpoint sums
+  ``len(adj[w])`` over its neighbours. Both give the same number, so the
+  side, the count and ``comparisons`` do not depend on which ran.
 - For each explored neighbor ``w`` of that endpoint, the common
   neighbors ``CN = N_w ∩ N_other`` each close one butterfly (lines
   8-11). ``|CN|`` is computed in one of two forms, which give the same
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.sample_graph import Adjacency
+from repro.core.sample_graph import HEAVY_DEGREE, Adjacency
 
 _EMPTY: frozenset = frozenset()
 
@@ -53,16 +59,31 @@ def count_butterflies_with_sample(sample: Adjacency, u: int, v: int) -> Tuple[in
         return 0, 0
 
     # Cheapest side (Alg. 1 line 7): cumulative sampled degree of each
-    # endpoint's sampled neighborhood.
-    cum_u = sum(len(adj[x]) for x in nu)
-    cum_v = sum(len(adj[x]) for x in nv)
+    # endpoint's sampled neighborhood, from the degree planes of the
+    # neighbours' side when the endpoint is heavy.
+    bits = sample.bits
+    bu = bits.get(u)
+    bv = bits.get(v)
+    if bu is not None and len(nu) >= HEAVY_DEGREE:
+        cum_u = j = 0
+        for plane in sample.deg[u >= 0]:
+            cum_u += (bu & plane).bit_count() << j
+            j += 1
+    else:
+        cum_u = sum(len(adj[x]) for x in nu)
+    if bv is not None and len(nv) >= HEAVY_DEGREE:
+        cum_v = j = 0
+        for plane in sample.deg[v >= 0]:
+            cum_v += (bv & plane).bit_count() << j
+            j += 1
+    else:
+        cum_v = sum(len(adj[x]) for x in nv)
     if cum_u > cum_v:
         # Explore neighbors of v, intersect against N_u.
         u, v = v, u
         nu, nv = nv, nu
+        bv = bu
 
-    bits = sample.bits
-    bv = bits.get(v)
     lv = len(nv)
     count = 0
     comparisons = 0

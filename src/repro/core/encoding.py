@@ -12,7 +12,8 @@ from __future__ import annotations
 
 class StreamContractError(ValueError):
     """A stream element breaks the stream contract: an edge that is not
-    bipartite under the encoding, or an edge inserted while already live."""
+    bipartite under the encoding, an edge inserted while already live, or
+    a delete while no edge is live."""
 
 
 def enc_right(r: int) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.core.encoding import StreamContractError
 from repro.core.sample_graph import SampleGraph
 
 Op = Tuple[str, int, int]
@@ -45,7 +46,13 @@ class RandomPairing:
 
     # -- Alg. 2 ------------------------------------------------------------
     def insert(self, u: int, v: int) -> List[Op]:
-        """InsertToSample({u, v}, k): process an edge insertion."""
+        """InsertToSample({u, v}, k): process an edge insertion.
+
+        Raises ``StreamContractError``, with no state changed, when {u, v}
+        is already sampled, so already live.
+        """
+        if ((u, v) if u >= 0 else (v, u)) in self.sample._pos:
+            raise StreamContractError(f"edge ({u}, {v}) inserted while already sampled")
         self.n_live += 1
         ops: List[Op] = []
         if self.c_b + self.c_g == 0:
@@ -69,12 +76,13 @@ class RandomPairing:
     def delete(self, u: int, v: int) -> List[Op]:
         """DeleteFromSample({u, v}): process an edge deletion.
 
-        Raises ``ValueError``, with no state changed, when no edge is live.
+        Raises ``StreamContractError``, with no state changed, when no
+        edge is live.
         """
         if self.n_live == 0:
-            raise ValueError("delete from an empty live edge set")
+            raise StreamContractError("delete from an empty live edge set")
         self.n_live -= 1
-        if (u, v) in self.sample:
+        if ((u, v) if u >= 0 else (v, u)) in self.sample._pos:
             self.sample.remove(u, v)
             self.c_b += 1
             return [("r", u, v)]

@@ -1,5 +1,5 @@
-"""Sampled-edge adjacency, with bitsets on dense vertices, and the bounded
-edge sample built on it.
+"""Sampled-edge adjacency, with bitsets on dense vertices and degree planes
+for the neighbours of heavy ones, and the bounded edge sample built on it.
 
 This is the in-memory representation of the sample ``S`` (the paper
 stores sampled edges "using the adjacency list format", Sec. VI-A).
@@ -23,6 +23,16 @@ into it:
   on the left / right side. They never shrink, so which vertices are
   dense depends only on the current edges and the spans, not on the
   order the edges came in.
+- ``deg[0]`` / ``deg[1]`` are the left / right side's *degree planes*: a
+  short list of ints whose plane ``j`` has bit ``i`` set iff bit ``j`` of
+  the degree of the vertex with bit index ``i`` is set. The kernel reads
+  them only through the bitset of a *heavy* vertex (dense, with at least
+  ``HEAVY_DEGREE`` neighbours), to get its neighbours' cumulative degree
+  as one popcount per plane. So they hold only the vertices with at
+  least one heavy neighbour, and ``dn[x]`` counts x's heavy neighbours
+  while it is positive. Keeping every vertex in the planes would rewrite
+  span-wide ints on every sample change; this way ``add`` and ``remove``
+  touch them only when an endpoint is heavy or has a heavy neighbour.
 
 :class:`SampleGraph` adds what Random Pairing (Alg. 2) needs on top: O(1)
 membership of a *specific* edge and O(1) selection of a *uniformly
@@ -39,7 +49,7 @@ and PARABACUS tasks only replay edges that passed it.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.encoding import StreamContractError, assert_bipartite_edge, is_left
 
@@ -49,6 +59,14 @@ Edge = Tuple[int, int]
 #: factor and header), in bits: a bitset spanning the opposite side costs
 #: no more than a set once a vertex has span / BITS_PER_NEIGHBOUR neighbours.
 BITS_PER_NEIGHBOUR = 256
+
+#: A dense vertex of at least this degree is *heavy*: the kernel reads its
+#: neighbours' cumulative degree from the degree planes, one popcount per
+#: plane (8-12 on the benchmark graphs). That beats summing the neighbours'
+#: degrees only once a neighbourhood has some 16-40 vertices. Tracking only
+#: the neighbours of heavy vertices spares small samples, where a short id
+#: span makes nearly every vertex dense, plane upkeep on every sample change.
+HEAVY_DEGREE = 32
 
 
 def canon(u: int, v: int) -> Edge:
@@ -65,16 +83,44 @@ def _bitset(nbrs: Iterable[int], span: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _degree_planes(adj: Dict[int, Set[int]], tracked: List[int], span: int) -> List[int]:
+    """Degree planes of ``tracked`` (all on one side, bit indices below
+    ``span``): bit ``i`` of plane ``j`` is bit ``j`` of the degree of the
+    vertex with bit index ``i``."""
+    if not tracked:
+        return []
+    bufs = [bytearray((span + 7) >> 3)
+            for _ in range(max(len(adj[x]) for x in tracked).bit_length())]
+    for x in tracked:
+        i = ~x if x < 0 else x
+        byte, mask = i >> 3, 1 << (i & 7)
+        d, j = len(adj[x]), 0
+        while d:
+            if d & 1:
+                bufs[j][byte] |= mask
+            d >>= 1
+            j += 1
+    return [int.from_bytes(buf, "little") for buf in bufs]
+
+
 class Adjacency:
-    """Vertex → neighbour-set adjacency with bitsets on dense vertices.
+    """Vertex → neighbour-set adjacency with bitsets on dense vertices and
+    degree planes for the neighbours of heavy ones.
 
     ``Adjacency(edges)`` builds it in bulk from an edge list of distinct
-    bipartite edges; ``add``/``remove`` keep ``adj``, ``bits`` and
-    ``span`` consistent one edge at a time. Callers must not mutate
-    ``adj`` directly.
+    bipartite edges; ``add``/``remove`` keep ``adj``, ``bits``, ``span``,
+    ``dn`` and ``deg`` consistent one edge at a time. Callers must not
+    mutate them directly.
+
+    Invariant: the degree planes hold exactly the vertices with a heavy
+    neighbour (a dense one of degree at least ``HEAVY_DEGREE``).
+    ``dn[x]`` is the number of heavy neighbours of ``x``, kept only while
+    it is positive (``x in dn`` iff ``x`` is *tracked*), and decoding
+    ``deg`` gives ``len(adj[x])`` at a tracked ``x``'s bit index and 0
+    everywhere else. Each plane list has no trailing zero plane.
     """
 
-    __slots__ = ("adj", "bits", "span")
+    __slots__ = ("adj", "bits", "span", "dn", "deg")
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
         adj: Dict[int, Set[int]] = {}
@@ -84,56 +130,191 @@ class Adjacency:
         # Every edge has one left (>= 0) and one right (< 0) endpoint.
         span = [max(adj) + 1, ~min(adj) + 1] if adj else [0, 0]
         # x's neighbours sit on side ``x >= 0`` (1 = right for a left x).
-        self.adj = adj
-        self.span = span
-        self.bits: Dict[int, int] = {
+        bits = {
             x: _bitset(nbrs, span[x >= 0])
             for x, nbrs in adj.items()
             if len(nbrs) * BITS_PER_NEIGHBOUR >= span[x >= 0]
         }
+        dn: Dict[int, int] = {}
+        for x in bits:
+            if len(adj[x]) >= HEAVY_DEGREE:
+                for w in adj[x]:
+                    dn[w] = dn.get(w, 0) + 1
+        self.adj = adj
+        self.span = span
+        self.bits: Dict[int, int] = bits
+        self.dn = dn
+        # deg[s] holds side s's vertices, like span[s] (0 = left, 1 = right).
+        self.deg: List[List[int]] = [
+            _degree_planes(adj, [x for x in dn if x >= 0], span[0]),
+            _degree_planes(adj, [x for x in dn if x < 0], span[1]),
+        ]
 
     def add(self, u: int, v: int) -> None:
         """Insert edge {u, v}, which must be bipartite and absent."""
-        adj, bits, span = self.adj, self.bits, self.span
-        for a, b in ((u, v), (v, u)):
-            side = b < 0
-            i = ~b if side else b
-            if i >= span[side]:
-                self._grow(side, i + 1)
-            s = adj.get(a)
-            if s is None:
-                adj[a] = s = {b}
-            else:
-                s.add(b)
-            if a in bits:
-                bits[a] |= 1 << i
-            elif len(s) * BITS_PER_NEIGHBOUR >= span[side]:
-                bits[a] = _bitset(s, span[side])
+        if u < 0:
+            u, v = v, u
+        adj, bits, span, dn = self.adj, self.bits, self.span, self.dn
+        iv = ~v
+        # Grow both spans first: a wider span can drop u's or v's bitset,
+        # and the tracking below needs their state just before the edge.
+        if u >= span[0]:
+            self._grow(False, u + 1)
+        if iv >= span[1]:
+            self._grow(True, iv + 1)
+        su = adj.get(u)
+        if su is None:
+            adj[u] = su = set()
+        sv = adj.get(v)
+        if sv is None:
+            adj[v] = sv = set()
+        hu = len(su) >= HEAVY_DEGREE and u in bits
+        hv = len(sv) >= HEAVY_DEGREE and v in bits
+        su.add(v)
+        sv.add(u)
+        if u in bits:
+            bits[u] |= 1 << iv
+        elif len(su) * BITS_PER_NEIGHBOUR >= span[1]:
+            bits[u] = _bitset(su, span[1])
+        if v in bits:
+            bits[v] |= 1 << u
+        elif len(sv) * BITS_PER_NEIGHBOUR >= span[0]:
+            bits[v] = _bitset(sv, span[0])
+        # An add only makes u and v heavier, so heavy before => heavy now.
+        if (u in dn or v in dn or len(su) >= HEAVY_DEGREE and u in bits
+                or len(sv) >= HEAVY_DEGREE and v in bits):
+            self._track_add(u, v, hu, hv)
 
     def remove(self, u: int, v: int) -> None:
         """Remove edge {u, v}; ``KeyError`` if absent. Drops isolated vertices."""
-        adj, bits, span = self.adj, self.bits, self.span
-        for a, b in ((u, v), (v, u)):
-            s = adj[a]
-            s.remove(b)
-            if not s:
-                del adj[a]
-                bits.pop(a, None)
-            elif a in bits:
-                side = b < 0
-                if len(s) * BITS_PER_NEIGHBOUR < span[side]:
-                    del bits[a]
-                else:
-                    bits[a] ^= 1 << (~b if side else b)
+        if u < 0:
+            u, v = v, u
+        adj, bits, span, dn = self.adj, self.bits, self.span, self.dn
+        su = adj[u]
+        su.remove(v)  # KeyError, with nothing changed, if absent
+        sv = adj[v]
+        sv.remove(u)
+        hu = len(su) >= HEAVY_DEGREE - 1 and u in bits
+        hv = len(sv) >= HEAVY_DEGREE - 1 and v in bits
+        if u in bits:
+            if len(su) * BITS_PER_NEIGHBOUR < span[1]:
+                del bits[u]
+            else:
+                bits[u] ^= 1 << ~v
+        if v in bits:
+            if len(sv) * BITS_PER_NEIGHBOUR < span[0]:
+                del bits[v]
+            else:
+                bits[v] ^= 1 << u
+        # A remove only makes u and v lighter, so heavy now => heavy before.
+        if hu or hv or u in dn or v in dn:
+            self._track_remove(u, v, hu, hv)
+        if not su:
+            del adj[u]
+        if not sv:
+            del adj[v]
+
+    # -- upkeep of dn and deg ---------------------------------------------
+    def _track_add(self, u: int, v: int, hu: bool, hv: bool) -> None:
+        """Bring ``dn`` and ``deg`` up to date after ``add(u, v)`` (u left),
+        given whether u and v were heavy just before it."""
+        adj, bits, dn = self.adj, self.bits, self.dn
+        su, sv = adj[u], adj[v]
+        tu, tv = u in dn, v in dn
+        if len(su) >= HEAVY_DEGREE and u in bits:
+            if not hu:  # u turned heavy: its other neighbours gain one
+                for w in su:
+                    if w != v:
+                        self._gain(w)
+            dn[v] = dn.get(v, 0) + 1
+        if len(sv) >= HEAVY_DEGREE and v in bits:
+            if not hv:
+                for w in sv:
+                    if w != u:
+                        self._gain(w)
+            dn[u] = dn.get(u, 0) + 1
+        d = len(su)
+        self._xor(u, (d - 1 if tu else 0) ^ (d if u in dn else 0))
+        d = len(sv)
+        self._xor(v, (d - 1 if tv else 0) ^ (d if v in dn else 0))
+
+    def _track_remove(self, u: int, v: int, hu: bool, hv: bool) -> None:
+        """Bring ``dn`` and ``deg`` up to date after ``remove(u, v)`` (u
+        left), given whether u and v were heavy just before it."""
+        adj, bits, dn = self.adj, self.bits, self.dn
+        su, sv = adj[u], adj[v]
+        tu, tv = u in dn, v in dn
+        if hu:
+            if not (len(su) >= HEAVY_DEGREE and u in bits):
+                for w in su:  # u turned light: its neighbours lose one
+                    self._lose(w)
+            c = dn[v] - 1
+            if c:
+                dn[v] = c
+            else:
+                del dn[v]
+        if hv:
+            if not (len(sv) >= HEAVY_DEGREE and v in bits):
+                for w in sv:
+                    self._lose(w)
+            c = dn[u] - 1
+            if c:
+                dn[u] = c
+            else:
+                del dn[u]
+        d = len(su)
+        self._xor(u, (d + 1 if tu else 0) ^ (d if u in dn else 0))
+        d = len(sv)
+        self._xor(v, (d + 1 if tv else 0) ^ (d if v in dn else 0))
 
     def _grow(self, side: bool, new_span: int) -> None:
         """Widen ``side``'s span; vertices with neighbours on that side
-        that are no longer dense lose their bitsets."""
+        that are no longer dense lose their bitsets, and the neighbours of
+        heavy ones a heavy neighbour."""
         self.span[side] = new_span
         adj, bits = self.adj, self.bits
         for x in [x for x in bits if (x >= 0) == side
                   and len(adj[x]) * BITS_PER_NEIGHBOUR < new_span]:
             del bits[x]
+            if len(adj[x]) >= HEAVY_DEGREE:
+                for w in adj[x]:
+                    self._lose(w)
+
+    def _gain(self, w: int) -> None:
+        """``w``, whose degree is unchanged, gains a heavy neighbour."""
+        c = self.dn.get(w, 0)
+        self.dn[w] = c + 1
+        if not c:
+            self._xor(w, len(self.adj[w]))
+
+    def _lose(self, w: int) -> None:
+        """``w``, whose degree is unchanged, loses a heavy neighbour."""
+        c = self.dn[w] - 1
+        if c:
+            self.dn[w] = c
+        else:
+            del self.dn[w]
+            self._xor(w, len(self.adj[w]))
+
+    def _xor(self, x: int, diff: int) -> None:
+        """Flip ``x``'s bit in plane ``j`` of its side for each set bit
+        ``j`` of ``diff`` (its old plane value XOR its new one)."""
+        if not diff:
+            return
+        if x < 0:
+            planes, bit = self.deg[1], 1 << ~x
+        else:
+            planes, bit = self.deg[0], 1 << x
+        if diff.bit_length() > len(planes):
+            planes.extend([0] * (diff.bit_length() - len(planes)))
+        j = 0
+        while diff:
+            if diff & 1:
+                planes[j] ^= bit
+            diff >>= 1
+            j += 1
+        while planes and not planes[-1]:
+            planes.pop()
 
 
 class SampleGraph(Adjacency):
@@ -167,7 +348,9 @@ class SampleGraph(Adjacency):
         """Insert edge {u, v}; ``StreamContractError``, with nothing
         changed, if it is not bipartite or already present."""
         assert_bipartite_edge(u, v)
-        e = canon(u, v)
+        if u < 0:
+            u, v = v, u
+        e = (u, v)
         if e in self._pos:
             raise StreamContractError(f"edge {e} already in sample")
         self._pos[e] = len(self._edges)
@@ -176,8 +359,9 @@ class SampleGraph(Adjacency):
 
     def remove(self, u: int, v: int) -> None:
         """Remove edge {u, v}; raises if absent. Drops isolated vertices."""
-        e = canon(u, v)
-        i = self._pos.pop(e)  # KeyError if absent
+        if u < 0:
+            u, v = v, u
+        i = self._pos.pop((u, v))  # KeyError if absent
         last = self._edges.pop()
         if i < len(self._edges):
             self._edges[i] = last

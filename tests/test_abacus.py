@@ -1,4 +1,5 @@
 """Tests for ABACUS (Algorithm 1): exactness, unbiasedness, concentration."""
+import random
 import statistics
 
 import pytest
@@ -132,6 +133,70 @@ def test_non_bipartite_element_rejected_before_any_state_change(u, v):
     for sign in (1, -1):
         with pytest.raises(StreamContractError):
             ab.process(u, v, sign)
+    assert (ab.estimate, ab.comparisons, ab.rp.triplet, sorted(ab.rp.sample.edges())) == before
+
+
+class FixedDraw(random.Random):
+    """An RNG whose ``random()`` always returns ``x``, to force an RP branch."""
+
+    def __init__(self, x):
+        super().__init__(0)
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def _sampled_k22(k):
+    """ABACUS whose sample is K_{2,2} on left {0, 1} and right {0, 1}."""
+    ab = Abacus(k=k, seed=0)
+    for u in (0, 1):
+        for r in (0, 1):
+            ab.process(u, enc_right(r), 1)
+    return ab
+
+
+def _compensate_add():
+    ab = _sampled_k22(5)
+    ab.process(2, enc_right(2), 1)
+    ab.process(2, enc_right(2), -1)  # sampled: c_b = 1
+    return ab
+
+
+def _compensate_skip():
+    ab = _sampled_k22(4)
+    ab.rp.rng = FixedDraw(0.99)
+    ab.process(2, enc_right(2), 1)  # 0.99 >= k / |E| = 0.8: not admitted
+    ab.process(2, enc_right(2), -1)  # unsampled: c_g = 1
+    return ab
+
+
+@pytest.mark.parametrize("branch,setup,draw", [
+    pytest.param(branch, setup, draw, id=branch) for branch, setup, draw in (
+        ("fill", lambda: _sampled_k22(10), None),
+        ("replace", lambda: _sampled_k22(4), 0.0),
+        ("not-admitted", lambda: _sampled_k22(4), 0.99),
+        ("compensate-add", _compensate_add, 0.99),
+        ("compensate-skip", _compensate_skip, 0.0),
+    )
+])
+def test_duplicate_insert_of_sampled_edge_rejected_in_every_rp_branch(branch, setup, draw):
+    """Re-inserting sampled (0, r0) closes one butterfly with the rest of
+    the K_{2,2}; whichever RP branch the insert would take, it raises with
+    the triplet, the sample, the estimate and the comparisons unchanged."""
+    ab = setup()
+    if draw is not None:
+        ab.rp.rng = FixedDraw(draw)
+    _, c_b, c_g = ab.rp.triplet
+    full = len(ab.rp.sample) == ab.k
+    assert {"fill": not full and c_b + c_g == 0, "replace": full and c_b + c_g == 0,
+            "not-admitted": full and c_b + c_g == 0, "compensate-add": c_b == 1 and c_g == 0,
+            "compensate-skip": c_b == 0 and c_g == 1}[branch]
+    before = (ab.estimate, ab.comparisons, ab.rp.triplet, sorted(ab.rp.sample.edges()))
+    assert ab.estimate == 1.0
+    for u, v in ((0, enc_right(0)), (enc_right(0), 0)):
+        with pytest.raises(StreamContractError):
+            ab.process(u, v, 1)
     assert (ab.estimate, ab.comparisons, ab.rp.triplet, sorted(ab.rp.sample.edges())) == before
 
 

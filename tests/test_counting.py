@@ -1,10 +1,13 @@
 """Tests for the per-edge butterfly counting kernel (Alg. 1 lines 6-11)."""
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+from repro.core import counting, sample_graph
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import enc_right
 from repro.core.sample_graph import Adjacency, SampleGraph
@@ -147,15 +150,27 @@ def test_cheap_side_selection_does_not_change_count(seed):
 # ---------------------------------------------------------------------------
 # property tests: both intersection forms against brute force
 # ---------------------------------------------------------------------------
-def set_only_comparisons(adj, u, v):
-    """Σ min(|N_w|, |N_v|) over the cheaper endpoint's neighbours w ≠ v,
-    the cost model ``comparisons`` reports whichever form ran."""
+def sum_based_kernel(adj, u, v):
+    """The kernel on plain sets, choosing the side by summing neighbour
+    degrees: the reference the degree planes must reproduce exactly."""
     nu, nv = adj.get(u, set()), adj.get(v, set())
     if not nu or not nv:
-        return 0
+        return 0, 0
     if sum(len(adj[x]) for x in nu) > sum(len(adj[x]) for x in nv):
         u, v, nu, nv = v, u, nv, nu
-    return sum(min(len(adj[w]), len(nv)) for w in nu if w != v)
+    count = sum(len(adj[w] & nv) for w in nu if w != v)
+    if v in nu:
+        count -= len(nu) - 1
+    return count, sum(min(len(adj[w]), len(nv)) for w in nu if w != v)
+
+
+@contextmanager
+def heavy_degree(h):
+    """Lower the heavy-vertex threshold in both modules that read it, so
+    that small graphs exercise the degree planes."""
+    with mock.patch.object(sample_graph, "HEAVY_DEGREE", h), \
+            mock.patch.object(counting, "HEAVY_DEGREE", h):
+        yield
 
 
 @st.composite
@@ -178,20 +193,49 @@ def spread_bipartite_graphs(draw):
     return lefts, rights, edges
 
 
-@given(spread_bipartite_graphs())
-def test_kernel_matches_brute_force_on_bitsets_sets_and_mixes(graph):
+@given(spread_bipartite_graphs(), st.integers(1, 8))
+def test_kernel_matches_brute_force_on_bitsets_sets_and_mixes(graph, heavy):
     lefts, rights, edges = graph
-    g = SampleGraph()
-    for ed in edges:
-        g.add(*ed)
-    bulk = Adjacency(edges)
-    forms = {(u in g.bits) + (v in g.bits) for u in lefts for v in rights}
-    event(f"bitset endpoints per pair: {sorted(forms)}")
-    for u in lefts:
-        for v in rights:  # {u, v} sampled (deletion case) or not
-            want = (brute_force_per_edge(g.adj, u, v), set_only_comparisons(g.adj, u, v))
-            assert count_butterflies_with_sample(g, u, v) == want, (u, v)
-            assert count_butterflies_with_sample(bulk, v, u)[0] == want[0], (u, v)
+    with heavy_degree(heavy):
+        g = SampleGraph()
+        for ed in edges:
+            g.add(*ed)
+        bulk = Adjacency(edges)
+        forms = {(u in g.bits) + (v in g.bits) for u in lefts for v in rights}
+        event(f"bitset endpoints per pair: {sorted(forms)}")
+        for u in lefts:
+            for v in rights:  # {u, v} sampled (deletion case) or not
+                want = sum_based_kernel(g.adj, u, v)
+                assert want[0] == brute_force_per_edge(g.adj, u, v)
+                assert count_butterflies_with_sample(g, u, v) == want, (u, v)
+                assert count_butterflies_with_sample(bulk, v, u)[0] == want[0], (u, v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("stride", [1, 60, 150])
+@pytest.mark.parametrize("heavy", [1, 3])
+def test_kernel_equals_sum_based_reference_under_churn(seed, stride, heavy):
+    """After every add or remove of a random sequence, every pair gets the
+    reference's (count, comparisons): the side chosen from the degree
+    planes is the side the sums choose. Stride 1 makes every vertex dense,
+    stride 60 those of degree >= 2, stride 150 those of degree >= 3; the
+    threshold makes every dense vertex heavy (1) or only some (3)."""
+    rng = random.Random(seed)
+    with heavy_degree(heavy):
+        g = SampleGraph()
+        live = set()
+        for _ in range(120):
+            ed = (stride * rng.randrange(6), enc_right(stride * rng.randrange(6)))
+            if ed in live:
+                g.remove(*ed)
+                live.discard(ed)
+            else:
+                g.add(*ed)
+                live.add(ed)
+            for u in range(0, 6 * stride, stride):
+                for r in range(0, 6 * stride, stride):
+                    v = enc_right(r)
+                    assert count_butterflies_with_sample(g, u, v) == sum_based_kernel(g.adj, u, v)
 
 
 def test_kernel_mixed_bitset_and_set_pair():

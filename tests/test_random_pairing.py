@@ -225,3 +225,4 @@ def test_duplicate_insert_of_sampled_edge_is_a_contract_error():
     with pytest.raises(StreamContractError):
         rp.insert(0, enc_right(0))
     assert len(rp.sample) == 1
+    assert rp.triplet == (1, 0, 0)

@@ -1,11 +1,15 @@
-"""Tests for the sampled-edge Adjacency (sets + dense bitsets) and the
-SampleGraph O(1) random-eviction structure built on it."""
+"""Tests for the sampled-edge Adjacency (sets + dense bitsets + degree
+planes) and the SampleGraph O(1) random-eviction structure built on it."""
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import sample_graph
 from repro.core.encoding import StreamContractError, dec_right, enc_right
-from repro.core.sample_graph import BITS_PER_NEIGHBOUR, Adjacency, SampleGraph, canon
+from repro.core.sample_graph import BITS_PER_NEIGHBOUR, HEAVY_DEGREE, Adjacency, SampleGraph, canon
 
 
 def e(u, r):
@@ -121,6 +125,53 @@ def assert_bitsets_mirror_sets(g):
             assert g.bits[x] == sum(1 << (y if y >= 0 else dec_right(y)) for y in nbrs), x
 
 
+def heavy_degree(h):
+    """Lower the heavy-vertex threshold, so that small graphs reach it."""
+    return mock.patch.object(sample_graph, "HEAVY_DEGREE", h)
+
+
+def assert_degree_planes_track_heavy_neighbours(a):
+    """dn[x] is x's number of heavy neighbours (dense, degree >= the
+    threshold), kept only while positive; deg decodes to len(adj[x]) at a
+    tracked x's bit index and to 0 at every other index, with no trailing
+    zero plane."""
+    heavy = {x for x in a.bits if len(a.adj[x]) >= sample_graph.HEAVY_DEGREE}
+    heavy_nbrs = {x: len(nbrs & heavy) for x, nbrs in a.adj.items()}
+    assert a.dn == {x: c for x, c in heavy_nbrs.items() if c}
+    for side in (0, 1):
+        planes = a.deg[side]
+        assert not planes or planes[-1]
+        assert all(p.bit_length() <= a.span[side] for p in planes)
+        for i in range(a.span[side]):
+            x = ~i if side else i
+            got = sum(((p >> i) & 1) << j for j, p in enumerate(planes))
+            assert got == (len(a.adj[x]) if x in a.dn else 0), (side, i)
+
+
+@given(st.sampled_from([1, 150]), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=80))
+def test_degree_planes_model(stride, heavy, toggles):
+    """Model-based, over random add/remove sequences: stride 1 keeps every
+    vertex dense, stride 150 mixes dense and sparse vertices and grows
+    the spans past the density line of vertices already present; the
+    drawn threshold moves vertices in and out of heavy by degree."""
+    with heavy_degree(heavy):
+        a = Adjacency()
+        live = set()
+        for u, r in toggles:
+            ed = e(stride * u, stride * r)
+            x, y = ed[::-1] if (u + r) % 2 else ed  # both argument orders
+            if ed in live:
+                a.remove(x, y)
+                live.discard(ed)
+            else:
+                a.add(x, y)
+                live.add(ed)
+            assert_bitsets_mirror_sets(a)
+            assert_degree_planes_track_heavy_neighbours(a)
+        assert a.adj == Adjacency(live).adj
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_mutation_sequence_consistency(seed):
     """Model-based: SampleGraph matches a reference set+adjacency model.
@@ -174,6 +225,23 @@ def test_span_growth_drops_bitsets_no_longer_dense():
     g.add(*e(1, 300))  # right span 301 > 1 * BITS_PER_NEIGHBOUR
     assert 0 not in g.bits and 1 not in g.bits
     assert_bitsets_mirror_sets(g)
+    assert_degree_planes_track_heavy_neighbours(g)
+
+
+def test_span_growth_inside_add_untracks_before_the_edge_goes_in():
+    """With every dense vertex heavy, the add that widens the right span
+    drops its own left endpoint's bitset (degree 2 * 256 < 601) while the
+    new right endpoint turns dense."""
+    with heavy_degree(1):
+        a = Adjacency()
+        a.add(*e(0, 5))
+        a.add(*e(1, 5))
+        assert 0 in a.bits and a.dn[enc_right(5)] == 2
+        a.add(*e(0, 600))
+        assert 0 not in a.bits and enc_right(600) in a.bits
+        assert a.dn == {0: 2, 1: 1}
+        assert_bitsets_mirror_sets(a)
+        assert_degree_planes_track_heavy_neighbours(a)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -181,12 +249,16 @@ def test_span_growth_drops_bitsets_no_longer_dense():
 def test_bulk_build_equals_one_at_a_time(seed, stride):
     rng = random.Random(seed)
     edges = list({e(stride * rng.randrange(8), stride * rng.randrange(6)) for _ in range(30)})
-    bulk = Adjacency(edges)
-    one = Adjacency()
-    for ed in edges:
-        one.add(*ed)
-    assert (bulk.adj, bulk.bits, bulk.span) == (one.adj, one.bits, one.span)
-    assert_bitsets_mirror_sets(bulk)
+    for heavy in (2, HEAVY_DEGREE):
+        with heavy_degree(heavy):
+            bulk = Adjacency(edges)
+            one = Adjacency()
+            for ed in edges:
+                one.add(*ed)
+            assert (bulk.adj, bulk.bits, bulk.span, bulk.dn, bulk.deg) == (
+                one.adj, one.bits, one.span, one.dn, one.deg)
+            assert_bitsets_mirror_sets(bulk)
+            assert_degree_planes_track_heavy_neighbours(bulk)
 
 
 def test_adjacency_add_remove_roundtrip():
