@@ -7,7 +7,8 @@ Per mini-batch of M elements:
    ``{s, c_b, c_g}``) and the delta ``S_{j-1} -> S_j`` produced by
    Random Pairing. The base version ``S_0`` is snapshotted once (as an
    edge list — cheap to broadcast; tasks build the adjacency in bulk,
-   in O(k)). The whole batch is checked to be bipartite first.
+   in O(k)). The whole batch is checked to be bipartite first; if RP
+   rejects an element mid-pass, the sampler is restored to ``S_0``.
 2. **Parallel per-edge counting**: the M edges are split into ``p``
    contiguous equal-sized groups (the paper's thread assignment). Every
    executor runs the same task, :func:`process_groups`, over a contiguous
@@ -37,14 +38,16 @@ same RNG seed, up to float summation order.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
-from repro.core.encoding import assert_bipartite_edge
+from repro.core.encoding import StreamContractError, assert_bipartite_edge
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import Op, RandomPairing
-from repro.core.sample_graph import Adjacency, Edge
+from repro.core.sample_graph import Adjacency, Edge, SampleGraph
 
 Triplet = Tuple[int, int, int]
 
@@ -126,6 +129,31 @@ def _edges_at(s0_edges: Sequence[Edge], deltas: Sequence[Sequence[Op]]) -> Dict[
 # ---------------------------------------------------------------------------
 # executors
 # ---------------------------------------------------------------------------
+def drop_zip_importers() -> None:
+    """Remove every ``zipimport.zipimporter`` from ``sys.path_importer_cache``.
+
+    A Spark Python worker runs ``importlib.invalidate_caches()`` before
+    every task, to pick up files shipped with the job. On Python 3.11 that
+    call makes each cached zipimporter re-read its archive's whole central
+    directory. A reused worker caches about sixteen of them: one per
+    imported package of pyspark.zip (1.3K entries), two for the spark-core
+    jar (5.4K entries) that Spark puts on the worker's path, and py4j's
+    source zip. That is ~0.2 s of CPU per task. The archives do not change
+    during a run, and a dropped entry is rebuilt from
+    ``zipimport._zip_directory_cache``, without a re-read, the next time an
+    import needs it. Calling this at the end of a task leaves the worker's
+    next task nothing to re-read.
+
+    Where zipimport refreshes lazily (newer Pythons) or nothing refreshes
+    the caches per task, it does no harm. ``sys.path`` and every other
+    finder are left as they are.
+    """
+    cache = sys.path_importer_cache
+    for path, finder in list(cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del cache[path]
+
+
 class SerialExecutor:
     """Runs one batch in-process as a single task over all of its groups
     (tests, and runs without Spark)."""
@@ -142,8 +170,8 @@ class RDDExecutor:
     """Fan the group tasks out as one Spark RDD job per mini-batch.
 
     The versioned sample (S_0 edge list + deltas + triplets) and the
-    batch ride a broadcast variable; the job is ``parallelize(tasks,
-    n_tasks).flatMap(count_groups).collect()``. Spark runs at most
+    batch ride a broadcast variable; the job is ``parallelize(range(n_tasks),
+    n_tasks).flatMap(task).collect()``. Spark runs at most
     ``defaultParallelism`` tasks at once and each task has a fixed
     dispatch cost, so the ``n_groups`` groups go to ``min(n_groups,
     defaultParallelism)`` tasks, each counting a contiguous run of groups
@@ -151,7 +179,9 @@ class RDDExecutor:
     the per-group pairs come back in group order. Groups stay the unit of
     work and of reporting (Fig. 10's per-group comparisons). This is the
     lowest-overhead Spark mapping of the paper's one-thread-per-group
-    model and is what the speedup experiments use.
+    model and is what the speedup experiments use. Each task ends with
+    :func:`drop_zip_importers`, so the worker's next task starts without
+    re-reading pyspark.zip and the spark-core jar.
     """
 
     def __init__(self, spark, n_groups: int):
@@ -167,7 +197,9 @@ class RDDExecutor:
         bc = sc.broadcast((list(s0_edges), list(batch), list(deltas), list(triplets), k))
 
         def task(t: int) -> List[Tuple[float, int]]:
-            return process_groups(*bc.value, bounds[first[t] : first[t + 1] + 1])
+            out = process_groups(*bc.value, bounds[first[t] : first[t + 1] + 1])
+            drop_zip_importers()
+            return out
 
         try:
             return sc.parallelize(range(n_tasks), n_tasks).flatMap(task).collect()
@@ -198,17 +230,30 @@ class ParAbacus:
         """Process one mini-batch; returns the batch's count adjustment.
 
         Raises :class:`~repro.core.encoding.StreamContractError`, with no
-        state changed, when any element of the batch is not bipartite.
+        state changed, when any element of the batch is not bipartite, or
+        when the RP pass rejects one (a duplicate insert of a sampled edge,
+        a delete with no live edge): the sampler is then put back as it was
+        before the batch.
         """
         for u, v, _ in batch:
             assert_bipartite_edge(u, v)
         rp = self.rp
         s0_edges = rp.sample.edges()
+        s0_triplet = rp.triplet
+        s0_rng = rp.rng.getstate()
         deltas: List[List[Op]] = []
         triplets: List[Triplet] = []
-        for u, v, sign in batch:
-            triplets.append(rp.triplet)
-            deltas.append(rp.insert(u, v) if sign > 0 else rp.delete(u, v))
+        try:
+            for u, v, sign in batch:
+                triplets.append(rp.triplet)
+                deltas.append(rp.insert(u, v) if sign > 0 else rp.delete(u, v))
+        except StreamContractError:
+            rp.sample = SampleGraph()
+            for a, b in s0_edges:  # in order: same edge list and positions
+                rp.sample.add(a, b)
+            rp.n_live, rp.c_b, rp.c_g = s0_triplet
+            rp.rng.setstate(s0_rng)
+            raise
         adjustment = 0.0
         counts = self.executor.run(s0_edges, batch, deltas, triplets, self.k)
         for g, (partial, comps) in enumerate(counts):

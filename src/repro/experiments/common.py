@@ -15,7 +15,7 @@ from repro.baselines.cas import CasR
 from repro.baselines.fleet import Fleet3
 from repro.core import exact
 from repro.core.abacus import Abacus, Element
-from repro.core.parabacus import ParAbacus, RDDExecutor, SerialExecutor
+from repro.core.parabacus import ParAbacus, RDDExecutor, SerialExecutor, drop_zip_importers
 from repro.streamgen import datasets
 from repro.streamgen.stream import final_edges, fully_dynamic_stream, insertions_only
 
@@ -76,8 +76,13 @@ def timed_run(algo_obj, stream: Sequence[Element]) -> Tuple[float, float]:
 
 
 def spark_warmup(spark) -> None:
-    """Run one trivial job so JVM/worker startup doesn't pollute timings."""
-    spark.sparkContext.parallelize(range(16), 16).map(lambda x: x * x).collect()
+    """Run one trivial job so JVM/worker startup doesn't pollute timings.
+
+    Its tasks end as PARABACUS's do, with :func:`drop_zip_importers`, so
+    the first timed job starts on workers that no longer re-read
+    pyspark.zip per task.
+    """
+    spark.sparkContext.parallelize(range(16), 16).foreach(lambda _: drop_zip_importers())
 
 
 def mean(xs: Sequence[float]) -> float:

@@ -20,7 +20,7 @@ from repro.experiments import common
 from repro.streamgen import datasets
 
 #: PARABACUS mini-batch size and group count. The paper's 500-edge
-#: mini-batch assumes ~µs thread dispatch; under Spark's ~0.3 s/job
+#: mini-batch assumes ~µs thread dispatch; under Spark's ~0.1–0.2 s/job
 #: overhead the equivalent operating point is a few thousand edges
 #: (DESIGN.md §3).
 BATCH_SIZE = 8000

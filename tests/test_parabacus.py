@@ -1,5 +1,10 @@
 """Tests for PARABACUS: Theorem 5 equivalence, versioning, executors."""
+import copy
+import importlib
 import os
+import sys
+import zipfile
+import zipimport
 
 import pytest
 from hypothesis import given
@@ -11,6 +16,7 @@ from repro.core.parabacus import (
     ParAbacus,
     RDDExecutor,
     SerialExecutor,
+    drop_zip_importers,
     group_bounds,
     process_groups,
 )
@@ -183,18 +189,77 @@ def test_packed_task_matches_per_group_replay_and_abacus(
     assert ex.batches and all(packed == per_group for packed, per_group in ex.batches)
 
 
+def sampler_state(pb):
+    return (pb.estimate, pb.comparisons, dict(pb.group_comparisons), pb.rp.triplet,
+            pb.rp.sample.edges(), pb.rp.rng.getstate())
+
+
 def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
     stream = stream_of(4)
     pb = ParAbacus(k=20, batch_size=30, seed=4, executor=SerialExecutor(3))
     pb.process_stream(stream[:60])
-    before = (pb.estimate, pb.comparisons, dict(pb.group_comparisons), pb.rp.triplet,
-              sorted(pb.rp.sample.edges()), pb.rp.rng.getstate())
+    before = sampler_state(pb)
     batch = stream[60:90]
     batch[20] = (0, 1, 1)  # both endpoints left-encoded
     with pytest.raises(StreamContractError):
         pb.process_batch(batch)
-    assert (pb.estimate, pb.comparisons, dict(pb.group_comparisons), pb.rp.triplet,
-            sorted(pb.rp.sample.edges()), pb.rp.rng.getstate()) == before
+    assert sampler_state(pb) == before
+
+
+@pytest.mark.parametrize("kind", ["duplicate insert", "delete with no live edge"])
+def test_contract_error_mid_batch_restores_sampler(kind):
+    """RP rejects the batch's last element after the others moved the
+    sampler: everything is as before the batch, and the run goes on as if
+    the batch had never come."""
+    prefix = [(u, enc_right(v), 1) for u in range(4) for v in range(4)]
+    fresh = [(u, enc_right(v), 1) for u in range(4, 6) for v in range(3)]
+    pb, twin = (ParAbacus(k=6, batch_size=16, seed=1, executor=SerialExecutor(2))
+                for _ in range(2))
+    pb.process_batch(prefix)
+    twin.process_batch(prefix)
+    if kind == "duplicate insert":
+        ahead = copy.deepcopy(pb.rp)
+        for u, v, _ in fresh:
+            ahead.insert(u, v)
+        bad = fresh + [(*ahead.sample.edges()[-1], 1)]  # sampled by then
+    else:
+        bad = fresh + [(u, v, -1) for u, v, _ in prefix + fresh] + [(0, enc_right(0), -1)]
+    before = sampler_state(pb)
+    with pytest.raises(StreamContractError):
+        pb.process_batch(bad)
+    assert sampler_state(pb) == before
+    after = [(u, enc_right(v), 1) for u in range(6, 8) for v in range(4)] + [(0, enc_right(0), -1)]
+    assert pb.process_batch(after) == twin.process_batch(after)
+    assert sampler_state(pb) == sampler_state(twin)
+    assert pb.estimate > 0
+
+
+def test_drop_zip_importers_forgets_only_zip_finders(tmp_path, monkeypatch):
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zmod_a.py", "A = 1\n")
+        z.writestr("zmod_b.py", "B = 2\n")
+    monkeypatch.setattr(sys, "path", [str(archive), *sys.path])
+    cache = sys.path_importer_cache
+    try:
+        assert importlib.import_module("zmod_a").A == 1
+        assert isinstance(cache.get(str(archive)), zipimport.zipimporter)
+        others = {p: f for p, f in cache.items() if not isinstance(f, zipimport.zipimporter)}
+        drop_zip_importers()
+        assert not any(isinstance(f, zipimport.zipimporter) for f in cache.values())
+        assert cache == others
+        # nothing left for a cache refresh to re-read; the next import from
+        # the archive reuses its cached directory
+        reads = []
+        read = zipimport._read_directory
+        monkeypatch.setattr(zipimport, "_read_directory", lambda a: reads.append(a) or read(a))
+        importlib.invalidate_caches()
+        assert importlib.import_module("zmod_b").B == 2
+        assert reads == []
+    finally:
+        for name in ("zmod_a", "zmod_b"):
+            sys.modules.pop(name, None)
+        cache.pop(str(archive), None)
 
 
 def test_batch_size_validation():
