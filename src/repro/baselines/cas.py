@@ -6,10 +6,10 @@ edge reservoir. We reimplement it at the description level of the
 ABACUS paper (the original is closed-source and its internals are not
 needed to reproduce the *measured* behaviours — see DESIGN.md §3):
 
-- Reservoir sampling over the first-seen edges with capacity
-  ``(1-λ)·k``; every stored edge is in the reservoir with probability
-  ``q = min(1, cap / n_seen)``, uniform as in classic reservoir
-  sampling.
+- The reservoir is insert-only Random Pairing with budget ``(1-λ)·k``:
+  with no deletion pending, Random Pairing (Alg. 2) is exactly classic
+  reservoir sampling, so every stored edge is in the reservoir with
+  probability ``q = min(1, cap / n_seen)``.
 - For every arriving insertion, count the butterflies it forms with the
   reservoir and add ``count / q³`` to the estimate.
 - An AMS sketch of ``λ·k`` counters is updated with 4 hash rows per
@@ -21,14 +21,13 @@ needed to reproduce the *measured* behaviours — see DESIGN.md §3):
 """
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
-from repro.core.sample_graph import SampleGraph
+from repro.core.random_pairing import RandomPairing
 
 _AMS_ROWS = 4
 LAM = 0.33  # share λ of the budget given to the sketch in the ABACUS evaluation
@@ -44,20 +43,18 @@ class CasR:
         self.capacity = max(2, int(round((1.0 - LAM) * budget)))
         self.sketch_width = max(1, (budget - self.capacity) // _AMS_ROWS)
         self.sketch = np.zeros((_AMS_ROWS, self.sketch_width), dtype=np.int64)
-        self.sample = SampleGraph()
-        self.n_seen = 0  # insertions observed
+        self.rp = RandomPairing(self.capacity, seed=seed)  # n_live = insertions seen
         self.estimate = 0.0
         self.comparisons = 0
-        self.rng = random.Random(seed)
-        # per-row hash seeds for the AMS update
-        self._hash_seeds = [self.rng.randrange(1 << 30) | 1 for _ in range(_AMS_ROWS)]
+        # per-row hash seeds for the AMS update, drawn before any reservoir draw
+        self._hash_seeds = [self.rp.rng.randrange(1 << 30) | 1 for _ in range(_AMS_ROWS)]
 
     @property
     def q(self) -> float:
         """Current per-edge reservoir membership probability."""
-        if self.n_seen == 0:
+        if self.rp.n_live == 0:
             return 1.0
-        return min(1.0, self.capacity / self.n_seen)
+        return min(1.0, self.capacity / self.rp.n_live)
 
     def _sketch_update(self, u: int, v: int) -> None:
         """AMS-style update: one bucket ±1 per hash row."""
@@ -69,24 +66,18 @@ class CasR:
             self.sketch[row, bucket] += sign
 
     def process(self, u: int, v: int, sign: int) -> float:
-        """Process one element; deletions are no-ops (returns 0.0)."""
+        """Process one element; deletions are no-ops (returns 0.0), and
+        Random Pairing checks insertions (DESIGN.md §6)."""
         if sign < 0:
             return 0.0
         # Count before the membership probability shifts with this edge.
-        n_bf, comps = count_butterflies_with_sample(self.sample, u, v)
+        n_bf, comps = count_butterflies_with_sample(self.rp.sample, u, v)
+        q = self.q
+        self.rp.insert(u, v)
         self.comparisons += comps
-        q = self.q if self.n_seen >= self.capacity else 1.0
         adj_amount = n_bf / q**3 if n_bf else 0.0
         self.estimate += adj_amount
         self._sketch_update(u, v)
-        # classic reservoir insert
-        self.n_seen += 1
-        if len(self.sample) < self.capacity:
-            self.sample.add(u, v)
-        elif self.rng.random() < self.capacity / self.n_seen:
-            a, b = self.sample.random_edge(self.rng)
-            self.sample.remove(a, b)
-            self.sample.add(u, v)
         return adj_amount
 
     def process_stream(self, stream: Iterable[Element]) -> float:

@@ -18,6 +18,10 @@ FLEET3, as used by the ABACUS evaluation with resizing parameter
   then joins at the new rate (extra γ coin).
 - **Deletions are ignored** — FLEET has no mechanism for them; this is
   precisely the deficiency the ABACUS paper measures.
+
+The reservoir is not Random Pairing, so ``process`` checks each insertion
+itself, before counting (DESIGN.md §6). As deletions are ignored, an edge
+deleted and inserted again is a duplicate.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from typing import Iterable
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
+from repro.core.encoding import StreamContractError, assert_bipartite_edge
 from repro.core.sample_graph import SampleGraph
 
 GAMMA = 0.75  # resizing parameter γ the ABACUS evaluation runs FLEET3 with
@@ -56,6 +61,9 @@ class Fleet3:
         """Process one element; deletions are no-ops (returns 0.0)."""
         if sign < 0:
             return 0.0
+        assert_bipartite_edge(u, v)
+        if ((u, v) if u >= 0 else (v, u)) in self.sample:
+            raise StreamContractError(f"edge ({u}, {v}) inserted while already sampled")
         n_bf, comps = count_butterflies_with_sample(self.sample, u, v)
         self.comparisons += comps
         adj_amount = n_bf / self.p**3 if n_bf else 0.0

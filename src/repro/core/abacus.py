@@ -6,7 +6,7 @@ For each stream element ``(u, v, sign)`` (sign = +1 insert / -1 delete):
    counting kernel), and adjust the estimate by
    ``sign * n_butterflies / Pr(|E|, c_b, c_g)`` using the *pre-update*
    sampler state (Appendix B uses ``p^(s-1)``);
-2. update the sample via Random Pairing.
+2. update the sample via Random Pairing, which checks the element first.
 
 With ``k`` at least the stream length the sample is the whole graph,
 every discovery probability is 1, and the "estimate" is the exact
@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from repro.core.counting import count_butterflies_with_sample
-from repro.core.encoding import assert_bipartite_edge
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import RandomPairing
 
@@ -38,10 +37,9 @@ class Abacus:
         """Process one stream element; returns the estimate adjustment.
 
         Raises :class:`~repro.core.encoding.StreamContractError`, with no
-        state changed, when {u, v} is not bipartite, is inserted while
-        sampled, or is deleted while no edge is live.
+        state changed, when Random Pairing rejects it: {u, v} is not bipartite,
+        is inserted while sampled, or is deleted while no edge is live.
         """
-        assert_bipartite_edge(u, v)
         rp = self.rp
         # Pre-update state (Appendix B: increments use p^(s-1)).
         n_bf, comps = count_butterflies_with_sample(rp.sample, u, v)
@@ -49,8 +47,8 @@ class Abacus:
         if n_bf:
             p = discovery_probability(self.k, rp.n_live, rp.c_b, rp.c_g)
             adj_amount = (n_bf if sign > 0 else -n_bf) / p
-        # The sampler raises, with nothing changed, on a contract breach it
-        # can see; the counters move only once it has accepted the element.
+        # The kernel only reads. The sampler raises, with nothing changed, on
+        # a contract breach; the counters move only once it has accepted.
         if sign > 0:
             rp.insert(u, v)
         else:

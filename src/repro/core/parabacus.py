@@ -7,8 +7,9 @@ Per mini-batch of M elements:
    ``{s, c_b, c_g}``) and the delta ``S_{j-1} -> S_j`` produced by
    Random Pairing. The base version ``S_0`` is snapshotted once (as an
    edge list — cheap to broadcast; tasks build the adjacency in bulk,
-   in O(k)). The whole batch is checked to be bipartite first; if RP
-   rejects an element mid-pass, the sampler is restored to ``S_0``.
+   in O(k)). Random Pairing checks each element against the stream
+   contract; if it rejects one mid-pass, the sampler is restored to
+   ``S_0``, its triplet and its RNG state.
 2. **Parallel per-edge counting**: the M edges are split into ``p``
    contiguous equal-sized groups (the paper's thread assignment). Every
    executor runs the same task, :func:`process_groups`, over a contiguous
@@ -44,7 +45,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
-from repro.core.encoding import StreamContractError, assert_bipartite_edge
+from repro.core.encoding import StreamContractError
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import Op, RandomPairing
 from repro.core.sample_graph import Adjacency, Edge, SampleGraph
@@ -230,13 +231,11 @@ class ParAbacus:
         """Process one mini-batch; returns the batch's count adjustment.
 
         Raises :class:`~repro.core.encoding.StreamContractError`, with no
-        state changed, when any element of the batch is not bipartite, or
-        when the RP pass rejects one (a duplicate insert of a sampled edge,
-        a delete with no live edge): the sampler is then put back as it was
-        before the batch.
+        state changed, when the RP pass rejects an element (an edge that is
+        not bipartite, a duplicate insert of a sampled edge, a delete with
+        no live edge): the sampler is then put back as it was before the
+        batch.
         """
-        for u, v, _ in batch:
-            assert_bipartite_edge(u, v)
         rp = self.rp
         s0_edges = rp.sample.edges()
         s0_triplet = rp.triplet

@@ -17,13 +17,17 @@ Every mutation returns the list of sample *ops* it performed —
 ``('a', u, v)`` / ``('r', u, v)`` — which is exactly the per-version
 delta PARABACUS stores in its versioned sample (Sec. V-A: "we store only
 the discrepancies").
+
+``insert`` and ``delete`` are the stream-contract boundary of ABACUS,
+PARABACUS and CAS-R (DESIGN.md §6): each checks its element once, before
+any state changes.
 """
 from __future__ import annotations
 
 import random
 from typing import List, Tuple
 
-from repro.core.encoding import StreamContractError
+from repro.core.encoding import StreamContractError, assert_bipartite_edge
 from repro.core.sample_graph import SampleGraph
 
 Op = Tuple[str, int, int]
@@ -49,9 +53,10 @@ class RandomPairing:
         """InsertToSample({u, v}, k): process an edge insertion.
 
         Raises ``StreamContractError``, with no state changed, when {u, v}
-        is already sampled, so already live.
+        is not bipartite or is already sampled, so already live.
         """
-        if ((u, v) if u >= 0 else (v, u)) in self.sample._pos:
+        assert_bipartite_edge(u, v)
+        if ((u, v) if u >= 0 else (v, u)) in self.sample:
             raise StreamContractError(f"edge ({u}, {v}) inserted while already sampled")
         self.n_live += 1
         ops: List[Op] = []
@@ -76,13 +81,14 @@ class RandomPairing:
     def delete(self, u: int, v: int) -> List[Op]:
         """DeleteFromSample({u, v}): process an edge deletion.
 
-        Raises ``StreamContractError``, with no state changed, when no
-        edge is live.
+        Raises ``StreamContractError``, with no state changed, when {u, v}
+        is not bipartite or no edge is live.
         """
+        assert_bipartite_edge(u, v)
         if self.n_live == 0:
             raise StreamContractError("delete from an empty live edge set")
         self.n_live -= 1
-        if ((u, v) if u >= 0 else (v, u)) in self.sample._pos:
+        if ((u, v) if u >= 0 else (v, u)) in self.sample:
             self.sample.remove(u, v)
             self.c_b += 1
             return [("r", u, v)]

@@ -39,19 +39,17 @@ membership of a *specific* edge and O(1) selection of a *uniformly
 random* one (reservoir replacement, Alg. 2 line 6), via the swap-pop
 trick on a dense edge list.
 
-Edges are unordered pairs; ``SampleGraph`` canonicalizes them as
-``(left, right)`` using the sign-based encoding of
-:mod:`repro.core.encoding`. Every edge must be bipartite under that
-encoding, because bit indices are only unique within one side:
-``SampleGraph.add`` enforces it for every sampler (RP, FLEET3, CAS-R),
-and PARABACUS tasks only replay edges that passed it.
+Edges are unordered pairs, stored as ``(left, right)`` under the
+sign-based encoding of :mod:`repro.core.encoding`. Both classes check
+nothing. An edge added must be absent, and bipartite because bit indices
+are only unique within one side. The samplers hold the stream contract
+(``RandomPairing.insert``/``delete`` and ``Fleet3.process``), and
+PARABACUS tasks only replay edges that passed Random Pairing.
 """
 from __future__ import annotations
 
 import random
 from typing import Dict, Iterable, List, Set, Tuple
-
-from repro.core.encoding import StreamContractError, assert_bipartite_edge, is_left
 
 Edge = Tuple[int, int]
 
@@ -67,11 +65,6 @@ BITS_PER_NEIGHBOUR = 256
 #: the neighbours of heavy vertices spares small samples, where a short id
 #: span makes nearly every vertex dense, plane upkeep on every sample change.
 HEAVY_DEGREE = 32
-
-
-def canon(u: int, v: int) -> Edge:
-    """Canonical (left, right) order for an encoded edge."""
-    return (u, v) if is_left(u) else (v, u)
 
 
 def _bitset(nbrs: Iterable[int], span: int) -> int:
@@ -321,8 +314,9 @@ class SampleGraph(Adjacency):
     """Sampled edges as an :class:`Adjacency` plus an edge list for O(1)
     random removal.
 
-    Not bounded by itself — the sampler enforces the budget; this class
-    only provides the mechanics.
+    Not bounded and not checked by itself: the sampler enforces the
+    budget and the stream contract; this class only provides the
+    mechanics.
     """
 
     __slots__ = ("_edges", "_pos")
@@ -337,7 +331,8 @@ class SampleGraph(Adjacency):
         return len(self._edges)
 
     def __contains__(self, edge: Edge) -> bool:
-        return canon(*edge) in self._pos
+        """O(1) membership of ``edge``, given as ``(left, right)``."""
+        return edge in self._pos
 
     def edges(self) -> list[Edge]:
         """Snapshot list of edges in insertion (swap-perturbed) order."""
@@ -345,14 +340,10 @@ class SampleGraph(Adjacency):
 
     # -- mutation ----------------------------------------------------------
     def add(self, u: int, v: int) -> None:
-        """Insert edge {u, v}; ``StreamContractError``, with nothing
-        changed, if it is not bipartite or already present."""
-        assert_bipartite_edge(u, v)
+        """Insert edge {u, v}, which must be bipartite and absent."""
         if u < 0:
             u, v = v, u
         e = (u, v)
-        if e in self._pos:
-            raise StreamContractError(f"edge {e} already in sample")
         self._pos[e] = len(self._edges)
         self._edges.append(e)
         Adjacency.add(self, u, v)

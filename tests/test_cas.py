@@ -38,10 +38,10 @@ def test_deletions_are_ignored():
     cas = CasR(budget=50, seed=0)
     for u, v in edges:
         cas.process(u, v, 1)
-    before = (cas.estimate, len(cas.sample), cas.n_seen)
+    before = (cas.estimate, cas.rp.triplet, cas.rp.sample.edges())
     for u, v in edges:
         assert cas.process(u, v, -1) == 0.0
-    assert (cas.estimate, len(cas.sample), cas.n_seen) == before
+    assert (cas.estimate, cas.rp.triplet, cas.rp.sample.edges()) == before
 
 
 def test_reservoir_bounded():
@@ -49,7 +49,7 @@ def test_reservoir_bounded():
     cas = CasR(budget=40, seed=1)
     for u, v in edges:
         cas.process(u, v, 1)
-        assert len(cas.sample) <= cas.capacity
+        assert len(cas.rp.sample) <= cas.capacity
 
 
 def test_q_probability_decreases():
@@ -101,7 +101,7 @@ def test_process_stream_equals_elementwise():
     for u, v, s in stream:
         b.process(u, v, s)
     assert a.estimate == b.estimate
-    assert sorted(a.sample.edges()) == sorted(b.sample.edges())
+    assert sorted(a.rp.sample.edges()) == sorted(b.rp.sample.edges())
 
 
 def test_effective_sample_smaller_than_fleet_for_same_budget():
@@ -111,13 +111,26 @@ def test_effective_sample_smaller_than_fleet_for_same_budget():
     assert cas.capacity < 100
 
 
+def cas_state(cas):
+    return (cas.estimate, cas.comparisons, cas.sketch.tobytes(), cas.rp.triplet,
+            cas.rp.sample.edges(), cas.rp.rng.getstate())
+
+
 @pytest.mark.parametrize("u, v", [(0, 1), (-1, -2)])
 def test_non_bipartite_element_raises_before_sampling(u, v):
     """The sample's bitsets index each side separately, so a same-side
-    edge must never enter it."""
+    edge must never enter it. With the reservoir full, the insert would
+    not be sampled, yet it raises with nothing moved."""
     algo = CasR(budget=300, seed=0)
     algo.process(2, -3, 1)
     with pytest.raises(StreamContractError):
         algo.process(u, v, 1)
-    assert algo.sample.edges() == [(2, -3)]
-    assert set(algo.sample.adj) == {2, -3}
+    assert algo.rp.sample.edges() == [(2, -3)]
+    assert set(algo.rp.sample.adj) == {2, -3}
+    full = CasR(budget=40, seed=0)
+    full.process_stream([(a, b, 1) for a, b in zipf_bipartite(20, 20, 150, seed=4)])
+    assert len(full.rp.sample) == full.capacity and full.q < 1
+    before = cas_state(full)
+    with pytest.raises(StreamContractError):
+        full.process(u, v, 1)
+    assert cas_state(full) == before

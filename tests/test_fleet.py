@@ -109,13 +109,45 @@ def test_comparisons_counter_grows():
     assert fl.p == 1.0 and len(fl.sample) == len(edges)  # every insertion stored
 
 
+def fleet_state(fl):
+    return (fl.estimate, fl.comparisons, fl.p, fl.sample.edges(), fl.rng.getstate())
+
+
+def subsampled(seed):
+    """FLEET3 at p < 1 after the insertions of a 150-edge graph."""
+    fl = Fleet3(capacity=10, seed=seed)
+    fl.process_stream([(a, b, 1) for a, b in zipf_bipartite(20, 20, 150, seed=4)])
+    assert fl.p < 1
+    return fl
+
+
 @pytest.mark.parametrize("u, v", [(0, 1), (-1, -2)])
 def test_non_bipartite_element_raises_before_sampling(u, v):
     """The sample's bitsets index each side separately, so a same-side
-    edge must never enter it."""
+    edge must never enter it. At p < 1 the coin would mostly not sample
+    it, yet it raises with nothing moved."""
     algo = Fleet3(capacity=10, seed=0)
     algo.process(2, -3, 1)
     with pytest.raises(StreamContractError):
         algo.process(u, v, 1)
     assert algo.sample.edges() == [(2, -3)]
     assert set(algo.sample.adj) == {2, -3}
+    for seed in range(3):
+        fl = subsampled(seed)
+        before = fleet_state(fl)
+        with pytest.raises(StreamContractError):
+            fl.process(u, v, 1)
+        assert fleet_state(fl) == before
+
+
+def test_duplicate_insert_of_sampled_edge_raises():
+    """In either orientation, at p = 1 and at p < 1, before counting."""
+    full = Fleet3(capacity=100, seed=0)
+    full.process_stream([(a, b, 1) for a, b in complete_bipartite(3, 3)])
+    for fl in (full, subsampled(0)):
+        a, b = fl.sample.edges()[0]
+        before = fleet_state(fl)
+        for u, v in ((a, b), (b, a)):
+            with pytest.raises(StreamContractError):
+                fl.process(u, v, 1)
+        assert fleet_state(fl) == before

@@ -194,19 +194,7 @@ def sampler_state(pb):
             pb.rp.sample.edges(), pb.rp.rng.getstate())
 
 
-def test_non_bipartite_element_rejects_whole_batch_before_rp_pass():
-    stream = stream_of(4)
-    pb = ParAbacus(k=20, batch_size=30, seed=4, executor=SerialExecutor(3))
-    pb.process_stream(stream[:60])
-    before = sampler_state(pb)
-    batch = stream[60:90]
-    batch[20] = (0, 1, 1)  # both endpoints left-encoded
-    with pytest.raises(StreamContractError):
-        pb.process_batch(batch)
-    assert sampler_state(pb) == before
-
-
-@pytest.mark.parametrize("kind", ["duplicate insert", "delete with no live edge"])
+@pytest.mark.parametrize("kind", ["non-bipartite", "duplicate insert", "delete with no live edge"])
 def test_contract_error_mid_batch_restores_sampler(kind):
     """RP rejects the batch's last element after the others moved the
     sampler: everything is as before the batch, and the run goes on as if
@@ -217,7 +205,9 @@ def test_contract_error_mid_batch_restores_sampler(kind):
                 for _ in range(2))
     pb.process_batch(prefix)
     twin.process_batch(prefix)
-    if kind == "duplicate insert":
+    if kind == "non-bipartite":
+        bad = fresh + [(0, 1, 1)]  # both endpoints left-encoded
+    elif kind == "duplicate insert":
         ahead = copy.deepcopy(pb.rp)
         for u, v, _ in fresh:
             ahead.insert(u, v)

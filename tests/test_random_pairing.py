@@ -226,3 +226,19 @@ def test_duplicate_insert_of_sampled_edge_is_a_contract_error():
         rp.insert(0, enc_right(0))
     assert len(rp.sample) == 1
     assert rp.triplet == (1, 0, 0)
+
+
+@pytest.mark.parametrize("u, v", [(0, 1), (enc_right(0), enc_right(1))])
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_non_bipartite_element_raises_with_nothing_changed(op, u, v):
+    """Checked before n_live, the counters, the sample or the RNG move,
+    here with the reservoir full and a deletion pending."""
+    rp = RandomPairing(k=3, seed=0)
+    for i in range(8):
+        rp.insert(i, enc_right(i))
+    rp.delete(7, enc_right(7))
+    assert len(rp.sample) == 3 and rp.c_b + rp.c_g == 1
+    before = (rp.triplet, rp.sample.edges(), rp.rng.getstate())
+    with pytest.raises(StreamContractError):
+        getattr(rp, op)(u, v)
+    assert (rp.triplet, rp.sample.edges(), rp.rng.getstate()) == before
