@@ -17,7 +17,9 @@ needed to reproduce the *measured* behaviours — see DESIGN.md §3):
   attributes to CAS: the smaller effective sample for a given budget
   (accuracy at/below FLEET's), and the per-edge sketch-update cost that
   halves throughput on sketch-heavy workloads (Sec. VI-C, Trackers).
-- **Deletions are ignored**, as in the original.
+- **Deletions are ignored**, as in the original. So an edge deleted and
+  inserted again while still in the reservoir is a duplicate, which
+  Random Pairing rejects (DESIGN.md §6).
 """
 from __future__ import annotations
 

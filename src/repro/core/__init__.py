@@ -10,5 +10,8 @@ probability     Eq. 1 discovery probability, Thm. 2 variance formulas
 random_pairing  Random Pairing sampler (Alg. 2): delta recording, stream contract
 abacus          sequential ABACUS (Alg. 1)
 parabacus       mini-batch PARABACUS (Sec. V) with serial/Spark RDD executors
-exact           exact butterfly counting engines (ground truth)
+exact           exact butterfly counting, DuckDB and pure Python (ground truth)
+
+Nothing here imports pyspark: ``RDDExecutor`` only calls the session it is
+given, and ``repro.spark_util`` builds that session.
 """

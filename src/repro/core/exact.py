@@ -7,11 +7,10 @@ other side). Enumerating wedges from the side with the smaller wedge
 volume ``Σ C(d, 2)`` is the cheap-side trick of Sanei-Mehri et al. [28]
 that the paper also uses.
 
-Three interchangeable engines (tests assert pairwise agreement, and the
-Spark engine is additionally diffed against DuckDB via ``repro.oracle``):
+Two interchangeable engines (tests assert they agree):
 
-- :func:`butterflies_spark_df` — DataFrame/Catalyst self-join pipeline,
-- :func:`butterflies_duckdb` — fast path for benchmark ground truths,
+- :func:`butterflies_duckdb` — every ground truth: benchmarks, the
+  exhibits and Table II,
 - :func:`butterflies_reference` — pure-Python, for tiny graphs and for
   butterfly *enumeration* (variance tests need the y1/y2/y3 pair
   profile of Theorem 2).
@@ -23,8 +22,6 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.encoding import dec_right, is_left
 
@@ -66,14 +63,11 @@ def _center(edges_pdf: pd.DataFrame) -> Tuple[str, str]:
 # ---------------------------------------------------------------------------
 # DuckDB engine
 # ---------------------------------------------------------------------------
-def butterfly_sql(center: str, side: str, table: str = "edges") -> str:
-    """SQL computing the butterfly count with the given wedge center side.
-
-    Shared verbatim between the DuckDB engine and the oracle checks so
-    the Spark pipeline is diffed against exactly this query.
-    """
+def butterfly_sql(center: str, side: str) -> str:
+    """SQL counting the butterflies of table ``edges`` (columns ``l``/``r``,
+    duplicate rows allowed) with wedges centered on ``center``."""
     return f"""
-        WITH e AS (SELECT DISTINCT l, r FROM {table}),
+        WITH e AS (SELECT DISTINCT l, r FROM edges),
         w AS (
             SELECT a.{side} AS s1, b.{side} AS s2
             FROM e a JOIN e b ON a.{center} = b.{center} AND a.{side} < b.{side}
@@ -85,7 +79,7 @@ def butterfly_sql(center: str, side: str, table: str = "edges") -> str:
 
 
 def butterflies_duckdb(edges_pdf: pd.DataFrame) -> int:
-    """Exact butterfly count via DuckDB (benchmark ground-truth path)."""
+    """Exact butterfly count via DuckDB (the ground-truth path)."""
     if len(edges_pdf) == 0:
         return 0
     center, side = _center(edges_pdf)
@@ -95,39 +89,6 @@ def butterflies_duckdb(edges_pdf: pd.DataFrame) -> int:
         return int(con.execute(butterfly_sql(center, side)).fetchone()[0])
     finally:
         con.close()
-
-
-# ---------------------------------------------------------------------------
-# Spark engine (Catalyst)
-# ---------------------------------------------------------------------------
-def butterflies_spark_df(edges_df: DataFrame, center: str) -> DataFrame:
-    """One-row DataFrame ``(butterflies BIGINT)`` for a Spark edge table.
-
-    ``edges_df`` has columns ``l``/``r``; ``center`` is the wedge center
-    side ("l"/"r").
-    """
-    e = edges_df.select("l", "r").dropDuplicates()
-    side = "r" if center == "l" else "l"
-
-    a = e.select(F.col(center).alias("c"), F.col(side).alias("s1"))
-    b = e.select(F.col(center).alias("c"), F.col(side).alias("s2"))
-    wedges = a.join(b, "c").where(F.col("s1") < F.col("s2"))
-    pairs = wedges.groupBy("s1", "s2").count()
-    return pairs.agg(
-        F.coalesce(
-            F.sum((F.col("count") * (F.col("count") - 1) / 2)), F.lit(0.0)
-        )
-        .cast("long")
-        .alias("butterflies")
-    )
-
-
-def butterflies_spark(spark: SparkSession, edges_pdf: pd.DataFrame) -> int:
-    """Scalar exact butterfly count via the Spark engine, centered on the
-    cheaper side of ``edges_pdf``."""
-    center, _ = _center(edges_pdf)
-    edges_df = spark.createDataFrame(edges_pdf[["l", "r"]])
-    return int(butterflies_spark_df(edges_df, center).first()["butterflies"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ ACCURACY_COLUMNS = ["dataset", "k", "algo", "rel_err", "est_mean", "truth_mean"]
 
 
 def table2_stats(scale, spark):
-    rows = stats.dataset_stats(scale=scale, spark=spark)
+    rows = stats.dataset_stats(scale=scale)
     return [(f"Table II — dataset statistics (scale={scale})", rows, None)]
 
 
@@ -102,7 +102,7 @@ def fig10_load_balance(scale, spark):
 
 #: exhibit name -> (tables function, uses Spark)
 EXHIBITS = {
-    "table2_stats": (table2_stats, True),
+    "table2_stats": (table2_stats, False),
     "fig3_accuracy": (fig3_accuracy, False),
     "fig4_throughput": (fig4_throughput, True),
     "fig5_accuracy_insert_only": (fig5_accuracy_insert_only, False),

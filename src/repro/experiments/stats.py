@@ -1,9 +1,9 @@
 """Table II reproduction: dataset statistics.
 
 For each synthetic KONECT-lite dataset: |E|, |L|, |R|, exact butterfly
-count |B| (DuckDB engine by default; the Spark engine is available and
-oracle-checked in tests), and butterfly density |B|/|E|^4, printed next
-to the paper's Table II values for the corresponding real graph.
+count |B| (DuckDB engine, like every other ground truth), and butterfly
+density |B|/|E|^4, printed next to the paper's Table II values for the
+corresponding real graph.
 """
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ from repro.core import exact
 from repro.streamgen import datasets
 
 
-def dataset_stats(scale: float = 1.0, spark=None) -> List[Dict]:
-    """Compute the Table II rows; uses Spark engine when a session is given."""
+def dataset_stats(scale: float = 1.0) -> List[Dict]:
+    """Compute the Table II rows."""
     rows: List[Dict] = []
     for name in datasets.dataset_names():
         edges = datasets.load(name, scale)
         pdf = exact.edges_to_pdf(edges)
-        if spark is not None:
-            b = exact.butterflies_spark(spark, pdf)
-        else:
-            b = exact.butterflies_duckdb(pdf)
+        b = exact.butterflies_duckdb(pdf)
         paper = datasets.PAPER_TABLE2[name]
         rows.append(
             {

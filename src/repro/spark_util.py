@@ -1,7 +1,12 @@
 """The one SparkSession configuration, shared by jobs and tests.
 
+Spark runs only PARABACUS's ``RDDExecutor``: one RDD job per mini-batch,
+with no SQL, no shuffle and no pandas conversion, so the session sets
+nothing beyond master, driver memory, host and UI.
+
 Jobs call :func:`get_session` directly; tests get the session from the
 ``spark`` fixture in conftest.py, which calls it once per test session.
+This is the only module under ``repro`` that imports pyspark.
 """
 from __future__ import annotations
 
@@ -18,9 +23,6 @@ def get_session(app_name: str = "repro-job") -> SparkSession:
     these builder configs to spark-submit as ``--conf``, so the value set
     here is honoured then; a ``--driver-memory`` in PYSPARK_SUBMIT_ARGS
     overrides it, and once a JVM is running it is ignored.
-
-    Broadcast joins are disabled so the exact-count joins exercise the
-    shuffle path.
     """
     return (
         SparkSession.builder.appName(app_name)
@@ -28,11 +30,5 @@ def get_session(app_name: str = "repro-job") -> SparkSession:
         .config("spark.driver.memory", os.environ.get("SPARK_DRIVER_MEM", "8g"))
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

@@ -18,7 +18,7 @@ sign ∈ {+1, -1}.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,18 +58,17 @@ def insertions_only(stream: Iterable[Element]) -> List[Element]:
 
 
 def final_edges(stream: Iterable[Element]) -> List[Edge]:
-    """Live edge set after the whole stream (insertions minus deletions)."""
-    live: Set[Edge] = set()
-    order: List[Edge] = []
+    """Live edge set after the whole stream (insertions minus deletions),
+    in the order of each edge's last insertion."""
+    live: Dict[Edge, None] = {}
     for u, v, sign in stream:
         e = (u, v)
         if sign > 0:
             if e in live:
                 raise ValueError(f"duplicate insertion of live edge {e}")
-            live.add(e)
-            order.append(e)
+            live[e] = None
         else:
             if e not in live:
                 raise ValueError(f"deletion of non-live edge {e}")
-            live.remove(e)
-    return [e for e in order if e in live]
+            del live[e]
+    return list(live)

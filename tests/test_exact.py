@@ -1,16 +1,25 @@
-"""Tests for the exact butterfly counting engines (+ oracle checks)."""
+"""Tests for the exact butterfly counting engines (DuckDB and pure Python)."""
+import duckdb
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import exact
 from repro.core.encoding import enc_right
-from repro.oracle import assert_equivalent
 from repro.streamgen.graphs import complete_bipartite, zipf_bipartite
 
 
 def pdf_of(edges):
     return exact.edges_to_pdf(edges)
+
+
+def sql_count(pdf, center, side):
+    """``butterfly_sql`` in DuckDB with a fixed wedge center."""
+    con = duckdb.connect()
+    try:
+        con.register("edges", pdf)
+        return con.execute(exact.butterfly_sql(center, side)).fetchone()[0]
+    finally:
+        con.close()
 
 
 # ---------------------------------------------------------------------------
@@ -23,6 +32,8 @@ def test_complete_bipartite_closed_form(a, b):
     edges = complete_bipartite(a, b)
     assert exact.butterflies_reference(edges) == expected
     assert exact.butterflies_duckdb(pdf_of(edges)) == expected
+    # duplicated input rows are one edge (the SELECT DISTINCT)
+    assert exact.butterflies_duckdb(pdf_of(edges + edges)) == expected
 
 
 def test_single_butterfly():
@@ -54,68 +65,11 @@ def test_star_has_no_butterfly():
 @pytest.mark.parametrize("seed", range(10))
 def test_reference_vs_duckdb_random(seed):
     edges = zipf_bipartite(25, 25, 150, 0.8, 0.8, seed=seed)
-    assert exact.butterflies_reference(edges) == exact.butterflies_duckdb(pdf_of(edges))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_spark_vs_duckdb_random(spark, seed):
-    edges = zipf_bipartite(30, 30, 200, 0.9, 0.9, seed=seed)
+    truth = exact.butterflies_reference(edges)
     pdf = pdf_of(edges)
-    assert exact.butterflies_spark(spark, pdf) == exact.butterflies_duckdb(pdf)
-
-
-@pytest.mark.parametrize("center", ["l", "r"])
-def test_spark_center_choice_irrelevant(spark, center):
-    edges = zipf_bipartite(20, 40, 180, 1.0, 0.6, seed=7)
-    pdf = pdf_of(edges)
-    df = spark.createDataFrame(pdf[["l", "r"]])
-    got = int(exact.butterflies_spark_df(df, center).first()["butterflies"])
-    assert got == exact.butterflies_duckdb(pdf)
-
-
-@pytest.mark.parametrize("center,side", [("l", "r"), ("r", "l")])
-def test_spark_engine_against_oracle(spark, center, side):
-    """Row-level diff of the Spark pipeline against the identical DuckDB SQL
-    via the oracle (catches a broken join/aggregation, not just 'it ran')."""
-    edges = zipf_bipartite(25, 25, 160, 0.8, 0.8, seed=11)
-    pdf = pdf_of(edges)
-    df = spark.createDataFrame(pdf[["l", "r"]])
-    assert_equivalent(
-        exact.butterflies_spark_df(df, center),
-        exact.butterfly_sql(center, side),
-        edges=pdf,
-    )
-
-
-def test_wedge_aggregation_oracle(spark):
-    """Check the *intermediate* wedge-pair aggregation row-by-row, not
-    just the final scalar — a broken join would surface here."""
-    edges = zipf_bipartite(25, 25, 160, 0.8, 0.8, seed=11)
-    pdf = pdf_of(edges)
-    df = spark.createDataFrame(pdf[["l", "r"]])
-    a = df.select(F.col("r").alias("c"), F.col("l").alias("s1"))
-    b = df.select(F.col("r").alias("c"), F.col("l").alias("s2"))
-    pairs = (
-        a.join(b, "c")
-        .where(F.col("s1") < F.col("s2"))
-        .groupBy("s1", "s2")
-        .agg(F.count(F.lit(1)).alias("c"))
-    )
-    assert_equivalent(
-        pairs,
-        """
-        SELECT a.l AS s1, b.l AS s2, COUNT(*) AS c
-        FROM edges a JOIN edges b ON a.r = b.r AND a.l < b.l
-        GROUP BY a.l, b.l
-        """,
-        edges=pdf,
-    )
-
-
-def test_spark_engine_dedups_input(spark):
-    edges = complete_bipartite(3, 3)
-    pdf = pdf_of(edges + edges)  # duplicated rows
-    assert exact.butterflies_spark(spark, pdf) == 9
+    assert exact.butterflies_duckdb(pdf) == truth
+    # the cheap-side choice changes the cost, never the count
+    assert sql_count(pdf, "l", "r") == sql_count(pdf, "r", "l") == truth
 
 
 # ---------------------------------------------------------------------------

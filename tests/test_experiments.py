@@ -72,12 +72,6 @@ def test_dataset_stats_duckdb():
         assert r["density"] == pytest.approx(r["B"] / r["E"] ** 4)
 
 
-def test_dataset_stats_spark_engine_agrees(spark):
-    d = dataset_stats(scale=0.03)
-    s = dataset_stats(scale=0.03, spark=spark)
-    assert [(r["dataset"], r["B"]) for r in d] == [(r["dataset"], r["B"]) for r in s]
-
-
 # ---------------------------------------------------------------------------
 # Fig. 3 / Fig. 5 harness
 # ---------------------------------------------------------------------------

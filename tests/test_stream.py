@@ -88,6 +88,12 @@ def test_stream_elements_are_bipartite():
         assert is_left(u) and not is_left(v)
 
 
+def test_final_edges_lists_a_reinserted_edge_once():
+    e, f = (0, enc_right(0)), (1, enc_right(0))
+    stream = [(*e, 1), (*e, -1), (*e, 1), (*f, 1)]
+    assert final_edges(stream) == [e, f]
+
+
 def test_final_edges_rejects_double_insert():
     bad = [(1, enc_right(1), 1), (1, enc_right(1), 1)]
     with pytest.raises(ValueError):

@@ -7,6 +7,10 @@ delete while no edge is live. Each breach raises, except a bad deletion
 fed to an insert-only baseline, which ignores it. Either way the
 estimator's state is left as it was, and going on gives the same state as
 a twin that never saw the breach.
+
+Streams that honour the contract may also delete an edge and insert it
+again later; ``fully_dynamic_stream`` never does, so random insert/delete
+sequences check that ABACUS and PARABACUS count such streams exactly.
 """
 import copy
 
@@ -16,10 +20,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.cas import CasR
 from repro.baselines.fleet import Fleet3
+from repro.core import exact
 from repro.core.abacus import Abacus
 from repro.core.encoding import StreamContractError, enc_right
 from repro.core.parabacus import ParAbacus, SerialExecutor
-from repro.streamgen.stream import fully_dynamic_stream
+from repro.streamgen.stream import final_edges, fully_dynamic_stream
 
 MAKERS = {
     "abacus": lambda k, m, seed: Abacus(k, seed=seed),
@@ -120,3 +125,40 @@ def test_breach_raises_or_is_ignored_with_state_unchanged(
         feed(twin, chunk)
         n_live += sum(sign for _, _, sign in chunk)
     assert state(est) == state(twin)
+
+
+@st.composite
+def reinserting_streams(draw):
+    """(stream, live edges): inserts pick an absent edge, deleted ones
+    included, and a third of the elements delete a live edge."""
+    universe = [(u, enc_right(r)) for u in range(6) for r in range(6)]
+    live, stream = [], []
+    for _ in range(draw(st.integers(1, 80))):
+        absent = [e for e in universe if e not in live]
+        if live and (not absent or draw(st.integers(0, 2)) == 0):
+            e, sign = live.pop(draw(st.integers(0, len(live) - 1))), -1
+        else:
+            e, sign = absent[draw(st.integers(0, len(absent) - 1))], 1
+            live.append(e)
+        stream.append((*e, sign))
+    return stream, live
+
+
+@given(
+    stream_live=reinserting_streams(),
+    k=st.integers(2, 10),
+    batch_size=st.integers(1, 20),
+    n_groups=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_reinserting_streams_count_exactly(stream_live, k, batch_size, n_groups, seed):
+    stream, live = stream_live
+    final = final_edges(stream)
+    assert len(set(final)) == len(final) and set(final) == set(live)
+    truth = exact.butterflies_reference(final)
+    assert exact.butterflies_duckdb(exact.edges_to_pdf(final)) == truth
+    assert Abacus(len(stream) + 1, seed=seed).process_stream(stream) == pytest.approx(truth)
+    # Theorem 5 at a small k, where sampling and pairing decisions are made
+    e1 = Abacus(k, seed=seed).process_stream(stream)
+    pb = ParAbacus(k, batch_size, seed=seed, executor=SerialExecutor(n_groups))
+    assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
