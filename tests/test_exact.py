@@ -72,6 +72,26 @@ def test_reference_vs_duckdb_random(seed):
     assert sql_count(pdf, "l", "r") == sql_count(pdf, "r", "l") == truth
 
 
+# The two tests below keep the names they had when they ran on the Spark
+# exact engine; they now check the same properties of the DuckDB engine.
+@pytest.mark.parametrize("center", ["l", "r"])
+def test_spark_center_choice_irrelevant(center):
+    """Either wedge center gives the count the cheap-side choice gives."""
+    side = "r" if center == "l" else "l"
+    edges = zipf_bipartite(20, 40, 180, 1.0, 0.6, seed=7)
+    pdf = pdf_of(edges)
+    assert sql_count(pdf, center, side) == exact.butterflies_duckdb(pdf)
+    assert sql_count(pdf, center, side) == exact.butterflies_reference(edges)
+
+
+def test_spark_engine_dedups_input():
+    """Duplicated input rows are one edge, whichever center is used."""
+    edges = complete_bipartite(3, 3)
+    pdf = pdf_of(edges + edges)
+    assert exact.butterflies_duckdb(pdf) == 9
+    assert sql_count(pdf, "l", "r") == sql_count(pdf, "r", "l") == 9
+
+
 # ---------------------------------------------------------------------------
 # wedge volumes / density / conversions
 # ---------------------------------------------------------------------------
