@@ -7,10 +7,13 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from repro.core import counting, sample_graph
+from repro.baselines import cas, fleet
+from repro.core import abacus, counting, parabacus, sample_graph
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import enc_right
 from repro.core.sample_graph import Adjacency, SampleGraph
+from repro.streamgen.graphs import zipf_bipartite
+from repro.streamgen.stream import fully_dynamic_stream, insertions_only
 
 
 def brute_force_per_edge(adj, u, v):
@@ -150,18 +153,26 @@ def test_cheap_side_selection_does_not_change_count(seed):
 # ---------------------------------------------------------------------------
 # property tests: both intersection forms against brute force
 # ---------------------------------------------------------------------------
+def explored_side(adj, x, y):
+    """The kernel's answer when it explores x's sampled neighbours against
+    N_y: (count, comparisons) on plain sets."""
+    nx, ny = adj[x], adj[y]
+    count = sum(len(adj[w] & ny) for w in nx if w != y)
+    if y in nx:
+        count -= len(nx) - 1
+    return count, sum(min(len(adj[w]), len(ny)) for w in nx if w != y)
+
+
 def sum_based_kernel(adj, u, v):
-    """The kernel on plain sets, choosing the side by summing neighbour
-    degrees: the reference the degree planes must reproduce exactly."""
+    """The kernel on plain sets, choosing the side by summing both
+    endpoints' neighbour degrees in full: the reference the degree planes
+    and the kernel's bounded sums must reproduce exactly."""
     nu, nv = adj.get(u, set()), adj.get(v, set())
     if not nu or not nv:
         return 0, 0
     if sum(len(adj[x]) for x in nu) > sum(len(adj[x]) for x in nv):
-        u, v, nu, nv = v, u, nv, nu
-    count = sum(len(adj[w] & nv) for w in nu if w != v)
-    if v in nu:
-        count -= len(nu) - 1
-    return count, sum(min(len(adj[w]), len(nv)) for w in nu if w != v)
+        return explored_side(adj, v, u)
+    return explored_side(adj, u, v)
 
 
 @contextmanager
@@ -208,7 +219,8 @@ def test_kernel_matches_brute_force_on_bitsets_sets_and_mixes(graph, heavy):
                 want = sum_based_kernel(g.adj, u, v)
                 assert want[0] == brute_force_per_edge(g.adj, u, v)
                 assert count_butterflies_with_sample(g, u, v) == want, (u, v)
-                assert count_butterflies_with_sample(bulk, v, u)[0] == want[0], (u, v)
+                assert (count_butterflies_with_sample(bulk, v, u)
+                        == sum_based_kernel(g.adj, v, u)), (u, v)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -236,6 +248,7 @@ def test_kernel_equals_sum_based_reference_under_churn(seed, stride, heavy):
                 for r in range(0, 6 * stride, stride):
                     v = enc_right(r)
                     assert count_butterflies_with_sample(g, u, v) == sum_based_kernel(g.adj, u, v)
+                    assert count_butterflies_with_sample(g, v, u) == sum_based_kernel(g.adj, v, u)
 
 
 def test_kernel_mixed_bitset_and_set_pair():
@@ -251,3 +264,134 @@ def test_kernel_mixed_bitset_and_set_pair():
     assert w in g.bits and v not in g.bits
     assert brute_force_per_edge(g.adj, u, v) == 1
     assert count_butterflies_with_sample(g, u, v) == (1, 2)  # explores N(u) = {v, w}
+
+
+# ---------------------------------------------------------------------------
+# the side rule's edges: explore v's side iff cum_u > cum_v, where the
+# kernel sums one endpoint and only bounds the other (cum_x >= |N_x|)
+# ---------------------------------------------------------------------------
+def sample_of(edges):
+    g = SampleGraph()
+    for ed in edges:
+        g.add(*ed)
+    return g
+
+
+def assert_explores(g, x, y):
+    """The kernel, called as (x, y), explores x's side, and that answer
+    differs from the other side's, so a wrong side choice shows."""
+    want = explored_side(g.adj, x, y)
+    assert want != explored_side(g.adj, y, x)
+    assert count_butterflies_with_sample(g, x, y) == want == sum_based_kernel(g.adj, x, y)
+
+
+@pytest.mark.parametrize("heavy", [2, 8, 32])
+def test_hub_explores_other_side_when_its_degree_exceeds_the_sum(heavy):
+    """Hub u has 8 neighbours, cum_v = 2: v's side is explored. At heavy
+    32, v is summed and |N_u| > cum_v settles it without u's sum; at 2 or
+    8, u is summed from its planes and v's sum falls short of it."""
+    u, v = 0, enc_right(0)
+    hub = [(u, enc_right(j)) for j in range(1, 9)]
+    with heavy_degree(heavy):
+        g = sample_of(hub + [(1, v), (1, enc_right(1))])
+        assert_explores(g, v, u)
+        assert count_butterflies_with_sample(g, u, v) == explored_side(g.adj, v, u) == (1, 2)
+
+
+@pytest.mark.parametrize("heavy", [2, 32])
+def test_hub_sum_stops_once_it_passes(heavy):
+    """|N_u| = 4 < cum_v = 6 < cum_u = 12: at heavy 32 the bound alone
+    does not decide, and u's sum passes cum_v on its second neighbour; at
+    2 both endpoints are read from their planes."""
+    u, v = 0, enc_right(0)
+    edges = [(u, enc_right(j)) for j in range(1, 5)]
+    edges += [(x, enc_right(j)) for j in range(1, 5) for x in (10, 11)]
+    edges += [(1, v), (2, v)] + [(1, enc_right(j)) for j in range(5, 9)]
+    with heavy_degree(heavy):
+        g = sample_of(edges)
+        assert_explores(g, v, u)
+        assert count_butterflies_with_sample(g, u, v) == explored_side(g.adj, v, u) == (0, 5)
+
+
+def test_hub_degree_equal_to_other_sum_does_not_swap():
+    """Deletion case, {u, v} sampled: u's 4 neighbours are leaves, v among
+    them, so |N_u| = cum_u = cum_v = 4. A tie explores u's side, which
+    costs 3 comparisons; v's side would cost none."""
+    u, v = 0, enc_right(0)
+    g = sample_of([(u, enc_right(j)) for j in range(4)])
+    assert count_butterflies_with_sample(g, u, v) == explored_side(g.adj, u, v) == (0, 3)
+    assert count_butterflies_with_sample(g, v, u) == explored_side(g.adj, v, u) == (0, 0)
+
+
+@pytest.mark.parametrize("heavy", [2, 3, 32])
+@pytest.mark.parametrize("flip", [False, True])
+def test_equal_sums_explore_the_first_argument(heavy, flip):
+    """cum_u = 4 + 1 + 1 = cum_v = 3 + 3 = 6, with |N_u| = 3 > |N_v| = 2.
+    A tie explores the first argument's side, whichever endpoint is summed
+    in full. Heavy 2 puts both endpoints on degree planes, 3 only u, 32
+    neither."""
+    u, v = 0, enc_right(0)
+    edges = [(u, enc_right(1)), (u, enc_right(2)), (u, enc_right(3))]
+    edges += [(x, enc_right(1)) for x in (1, 2, 3)]
+    edges += [(x, y) for x in (5, 6) for y in (v, enc_right(4), enc_right(5))]
+    with heavy_degree(heavy):
+        g = sample_of(edges)
+        assert (u in g.bits, v in g.bits) == (True, True)
+        assert_explores(g, *((v, u) if flip else (u, v)))
+
+
+@pytest.mark.parametrize("heavy", [3, 32])
+def test_deletion_case_hub_sum_stops_once_it_passes(heavy):
+    """{u, v} sampled, so cum_v counts |N_u| and the bound alone cannot
+    pick v's side: cum_v = 6 + 2 + 2 = 10 < cum_u = 15. At heavy 32 u's sum
+    passes cum_v on its third neighbour; at 3 both endpoints are read from
+    their planes. u is dropped from every intersection once."""
+    u, v = 0, enc_right(0)
+    edges = [(u, enc_right(j)) for j in range(6)]
+    edges += [(1, v), (1, enc_right(1)), (2, v), (2, enc_right(2))]
+    edges += [(9, enc_right(j)) for j in range(1, 6)]
+    with heavy_degree(heavy):
+        g = sample_of(edges)
+        assert_explores(g, v, u)
+        assert count_butterflies_with_sample(g, u, v) == explored_side(g.adj, v, u)
+        assert explored_side(g.adj, v, u)[0] == brute_force_per_edge(g.adj, u, v) == 2
+
+
+# ---------------------------------------------------------------------------
+# end to end: every estimator gives the sum-based reference's results
+# ---------------------------------------------------------------------------
+def estimator_results(stream, k):
+    """What ABACUS, serial PARABACUS, FLEET3 and CAS-R report on ``stream``
+    (the two baselines on its insertions), and ABACUS's largest sampled
+    degree at the end."""
+    ab = abacus.Abacus(k, seed=5)
+    ab.process_stream(stream)
+    pb = parabacus.ParAbacus(k, 64, seed=5, executor=parabacus.SerialExecutor(3))
+    pb.process_stream(stream)
+    inserts = insertions_only(stream)
+    fl = fleet.Fleet3(k, seed=5)
+    fl.process_stream(inserts)
+    cs = cas.CasR(k, seed=5)
+    cs.process_stream(inserts)
+    return ((ab.estimate, ab.comparisons), (pb.estimate, pb.group_comparisons),
+            (fl.estimate, fl.comparisons), (cs.estimate, cs.comparisons),
+            max(map(len, ab.rp.sample.adj.values())))
+
+
+@pytest.mark.parametrize("heavy", [4, 32])
+def test_estimators_bit_identical_to_sum_based_reference(heavy):
+    """A steep Zipf exponent gives hubs, whose side the kernel settles from
+    |N| or a partial sum. Every estimate and comparisons total must equal
+    the one from a kernel that sums both endpoints in full."""
+    edges = zipf_bipartite(60, 40, 600, a_left=1.6, a_right=1.4, seed=7)
+    stream = fully_dynamic_stream(edges, 0.3, seed=7)
+    reference = lambda s, u, v: sum_based_kernel(s.adj, u, v)  # noqa: E731
+    with heavy_degree(heavy):
+        got = estimator_results(stream, 200)
+        with mock.patch.object(abacus, "count_butterflies_with_sample", reference), \
+                mock.patch.object(parabacus, "count_butterflies_with_sample", reference), \
+                mock.patch.object(fleet, "count_butterflies_with_sample", reference), \
+                mock.patch.object(cas, "count_butterflies_with_sample", reference):
+            want = estimator_results(stream, 200)
+    assert got == want
+    assert got[0][1] > 0 and got[-1] >= 15

@@ -1,5 +1,6 @@
 """Tests for the experiment harnesses (small-scale, shape-level checks)."""
 import math
+import statistics
 
 import pytest
 
@@ -150,14 +151,22 @@ def test_deletions_sweep_error_stays_bounded():
 # Fig. 7 harness
 # ---------------------------------------------------------------------------
 def test_scalability_series_linear():
-    rows = scalability_series(
-        dataset_names=("movielens_lite",), ks=(400,), scale=0.1,
-    )
-    assert len(rows) == 10
-    assert [r["pct"] for r in rows] == list(range(10, 101, 10))
-    elapsed = [r["elapsed_s"] for r in rows]
-    assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
-    r2 = linearity_r2(rows)[0]["r2"]
+    """A pass here takes ~40 ms, so one shared-core stall can bend a single
+    series: r² is taken on the per-checkpoint median of three runs."""
+    runs = [
+        scalability_series(dataset_names=("movielens_lite",), ks=(400,), scale=0.1)
+        for _ in range(3)
+    ]
+    for rows in runs:
+        assert len(rows) == 10
+        assert [r["pct"] for r in rows] == list(range(10, 101, 10))
+        elapsed = [r["elapsed_s"] for r in rows]
+        assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+    median_rows = [
+        {**rows[0], "elapsed_s": statistics.median(r["elapsed_s"] for r in rows)}
+        for rows in zip(*runs)
+    ]
+    r2 = linearity_r2(median_rows)[0]["r2"]
     assert r2 > 0.97
 
 
