@@ -17,19 +17,23 @@ needed to reproduce the *measured* behaviours — see DESIGN.md §3):
   attributes to CAS: the smaller effective sample for a given budget
   (accuracy at/below FLEET's), and the per-edge sketch-update cost that
   halves throughput on sketch-heavy workloads (Sec. VI-C, Trackers).
-- **Deletions are ignored**, as in the original. So an edge deleted and
-  inserted again while still in the reservoir is a duplicate, which
+- **Deletions are ignored**, as in the original. An edge deleted and
+  inserted again while still in the reservoir is, in this insert-only
+  view, still in the graph, so that insertion is a no-op. The reservoir
+  remembers which of its edges had a deletion ignored (O(capacity)
+  memory); any other insertion of a stored edge is a duplicate, which
   Random Pairing rejects (DESIGN.md §6).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Set
 
 import numpy as np
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.random_pairing import RandomPairing
+from repro.core.sample_graph import Edge
 
 _AMS_ROWS = 4
 LAM = 0.33  # share λ of the budget given to the sketch in the ABACUS evaluation
@@ -48,6 +52,9 @@ class CasR:
         self.rp = RandomPairing(self.capacity, seed=seed)  # n_live = insertions seen
         self.estimate = 0.0
         self.comparisons = 0
+        # Stored edges whose deletion was ignored and that were not
+        # inserted again since; a subset of the reservoir.
+        self.deleted: Set[Edge] = set()
         # per-row hash seeds for the AMS update, drawn before any reservoir draw
         self._hash_seeds = [self.rp.rng.randrange(1 << 30) | 1 for _ in range(_AMS_ROWS)]
 
@@ -68,14 +75,23 @@ class CasR:
             self.sketch[row, bucket] += sign
 
     def process(self, u: int, v: int, sign: int) -> float:
-        """Process one element; deletions are no-ops (returns 0.0), and
-        Random Pairing checks insertions (DESIGN.md §6)."""
+        """Process one element; deletions, and insertions of a stored edge
+        whose deletion was ignored, are no-ops (return 0.0). Random
+        Pairing checks the other insertions (DESIGN.md §6)."""
+        edge = (u, v) if u >= 0 else (v, u)
         if sign < 0:
+            if edge in self.rp.sample:
+                self.deleted.add(edge)
+            return 0.0
+        if edge in self.deleted:
+            self.deleted.remove(edge)
             return 0.0
         # Count before the membership probability shifts with this edge.
         n_bf, comps = count_butterflies_with_sample(self.rp.sample, u, v)
         q = self.q
-        self.rp.insert(u, v)
+        for op, a, b in self.rp.insert(u, v):
+            if op == "r":  # evicted
+                self.deleted.discard((a, b))
         self.comparisons += comps
         adj_amount = n_bf / q**3 if n_bf else 0.0
         self.estimate += adj_amount

@@ -20,18 +20,21 @@ FLEET3, as used by the ABACUS evaluation with resizing parameter
   precisely the deficiency the ABACUS paper measures.
 
 The reservoir is not Random Pairing, so ``process`` checks each insertion
-itself, before counting (DESIGN.md §6). As deletions are ignored, an edge
-deleted and inserted again is a duplicate.
+itself, before counting (DESIGN.md §6). A stored edge may be deleted and
+inserted again: in FLEET3's insert-only view it is still in the graph, so
+that insertion is a no-op. The reservoir remembers which of its edges had
+a deletion ignored, O(capacity) memory; an insertion of a stored edge with
+no deletion since is a duplicate and raises.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Set
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import StreamContractError, assert_bipartite_edge
-from repro.core.sample_graph import SampleGraph
+from repro.core.sample_graph import Edge, SampleGraph
 
 GAMMA = 0.75  # resizing parameter γ the ABACUS evaluation runs FLEET3 with
 
@@ -48,6 +51,9 @@ class Fleet3:
         self.estimate = 0.0
         self.comparisons = 0
         self.rng = random.Random(seed)
+        # Stored edges whose deletion was ignored and that were not
+        # inserted again since; a subset of the reservoir.
+        self.deleted: Set[Edge] = set()
 
     def _subsample(self) -> None:
         """ADAPT: keep each stored edge w.p. γ; p ← γ·p."""
@@ -55,14 +61,22 @@ class Fleet3:
         for u, v in self.sample.edges():
             if rng.random() >= GAMMA:
                 self.sample.remove(u, v)
+                self.deleted.discard((u, v))
         self.p *= GAMMA
 
     def process(self, u: int, v: int, sign: int) -> float:
-        """Process one element; deletions are no-ops (returns 0.0)."""
+        """Process one element; deletions, and insertions of a stored edge
+        whose deletion was ignored, are no-ops (return 0.0)."""
+        edge = (u, v) if u >= 0 else (v, u)
         if sign < 0:
+            if edge in self.sample:
+                self.deleted.add(edge)
             return 0.0
         assert_bipartite_edge(u, v)
-        if ((u, v) if u >= 0 else (v, u)) in self.sample:
+        if edge in self.sample:
+            if edge in self.deleted:
+                self.deleted.remove(edge)
+                return 0.0
             raise StreamContractError(f"edge ({u}, {v}) inserted while already sampled")
         n_bf, comps = count_butterflies_with_sample(self.sample, u, v)
         self.comparisons += comps

@@ -10,7 +10,9 @@ a twin that never saw the breach.
 
 Streams that honour the contract may also delete an edge and insert it
 again later; ``fully_dynamic_stream`` never does, so random insert/delete
-sequences check that ABACUS and PARABACUS count such streams exactly.
+sequences check that ABACUS and PARABACUS count such streams exactly, and
+that the insert-only baselines, which ignore the deletion, take the
+re-insert of an edge they still hold as a no-op.
 """
 import copy
 
@@ -66,7 +68,9 @@ def breach(kind, idx, left, insert, ahead, n_live):
         u, v = (a, a + 1) if left else (enc_right(a), enc_right(a + 1))
         return (u, v, 1 if insert else -1)
     if kind == "sampled re-insert":
-        edges = sampled(ahead)
+        # An insert-only baseline also keeps edges whose deletion it
+        # ignored; inserting one of those again honours the contract.
+        edges = [e for e in sampled(ahead) if e not in getattr(ahead, "deleted", ())]
         if not edges:
             return None
         u, v = edges[idx % len(edges)]
@@ -162,3 +166,48 @@ def test_reinserting_streams_count_exactly(stream_live, k, batch_size, n_groups,
     e1 = Abacus(k, seed=seed).process_stream(stream)
     pb = ParAbacus(k, batch_size, seed=seed, executor=SerialExecutor(n_groups))
     assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
+
+
+BASELINES = ["cas", "fleet"]
+
+
+@pytest.mark.parametrize("algo", BASELINES)
+def test_baseline_reinsert_after_ignored_delete_is_a_no_op(algo):
+    """The baseline still holds the deleted edge, so in its insert-only
+    view the edge never left: the re-insert changes nothing. It uses up
+    the ignored deletion, so one more insert is a duplicate."""
+    est = MAKERS[algo](10, 1, 0)
+    feed(est, [(0, enc_right(0), 1), (0, enc_right(0), -1)])
+    before = state(est)
+    assert est.process(0, enc_right(0), 1) == 0.0
+    assert state(est) == before
+    with pytest.raises(StreamContractError):
+        est.process(enc_right(0), 0, 1)
+    assert state(est) == before
+
+
+@pytest.mark.parametrize("algo", BASELINES)
+def test_baseline_reinsert_with_no_delete_since_raises(algo):
+    """A held edge whose last insert came after its last deletion is live:
+    inserting it again raises, with nothing changed."""
+    a, b = (0, enc_right(0)), (1, enc_right(0))
+    est = MAKERS[algo](10, 1, 0)
+    feed(est, [(*a, 1), (*b, 1), (*a, -1), (*a, 1), (1, enc_right(1), 1)])
+    before = state(est)
+    for u, v in (a, b):
+        with pytest.raises(StreamContractError):
+            est.process(u, v, 1)
+        assert state(est) == before
+
+
+@pytest.mark.parametrize("algo", BASELINES)
+@given(stream_live=reinserting_streams(), k=st.integers(2, 10), seed=st.integers(0, 2**16))
+def test_baselines_take_reinserting_streams(algo, stream_live, k, seed):
+    """Streams that honour the contract never make a baseline raise, and
+    the edges whose deletion it ignored are always ones it holds, so that
+    memory stays within its capacity."""
+    stream, _ = stream_live
+    est = MAKERS[algo](k, 1, seed)
+    for el in stream:
+        est.process(*el)
+        assert est.deleted <= set(sampled(est))
