@@ -1,56 +1,10 @@
-import os
 import sys
 
+import pytest
+from hypothesis import settings
+from pyspark.sql import SparkSession
 
-def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
-
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. The value goes into PYSPARK_SUBMIT_ARGS at
-    conftest import, before any test can launch the JVM; see
-    ``repro.spark_util.get_session`` for when driver memory takes effect.
-
-    The cgroup read is best-effort: the sandbox runs under gVisor, whose
-    sysfs emulation may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
-    """
-    if m := os.environ.get("SPARK_DRIVER_MEM"):
-        return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
-        try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
-
-
-os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-import pytest  # noqa: E402
-from hypothesis import settings  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
-
-from repro.spark_util import get_session  # noqa: E402
+from repro.spark_util import get_session
 
 # Property tests draw the same examples on every run (no flaky tier-1),
 # a bounded number of them, with no per-example time limit on a slow box.
@@ -63,13 +17,12 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session, configured
     exactly as the jobs' sessions are (``repro.spark_util.get_session``)."""
     s = get_session("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    sc = s.sparkContext
+    # One line in the test log with what the session runs on.
     print(
-        f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
-        f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
+        f"[conftest] master={sc.master} "
+        f"defaultParallelism={sc.defaultParallelism} "
+        f"spark.driver.memory={sc.getConf().get('spark.driver.memory')}",
         file=sys.stderr,
     )
     yield s
