@@ -1,5 +1,6 @@
 """Sampled-edge adjacency, with bitsets on dense vertices and degree planes
-for the neighbours of heavy ones, and the bounded edge sample built on it.
+for every vertex a heavy one has neighboured, and the bounded edge sample
+built on it.
 
 This is the in-memory representation of the sample ``S`` (the paper
 stores sampled edges "using the adjacency list format", Sec. VI-A).
@@ -28,11 +29,14 @@ into it:
   the degree of the vertex with bit index ``i`` is set. The kernel reads
   them only through the bitset of a *heavy* vertex (dense, with at least
   ``HEAVY_DEGREE`` neighbours), to get its neighbours' cumulative degree
-  as one popcount per plane. So they hold only the vertices with at
-  least one heavy neighbour, and ``dn[x]`` counts x's heavy neighbours
-  while it is positive. Keeping every vertex in the planes would rewrite
-  span-wide ints on every sample change; this way ``add`` and ``remove``
-  touch them only when an endpoint is heavy or has a heavy neighbour.
+  as one popcount per plane. So the planes need only the neighbours of
+  heavy vertices; they hold ``tracked``, every vertex a heavy vertex has
+  neighboured. The bulk build tracks the neighbours of its heavy
+  vertices, ``add`` tracks those of an endpoint that is heavy after it
+  (all of them when it has just turned heavy, else only the new one),
+  and nothing untracks a vertex. Keeping every vertex in the planes
+  would rewrite span-wide ints on every sample change; this way ``add``
+  and ``remove`` touch them only when an endpoint is tracked or heavy.
 
 :class:`SampleGraph` adds what Random Pairing (Alg. 2) needs on top: O(1)
 membership of a *specific* edge and O(1) selection of a *uniformly
@@ -98,22 +102,23 @@ def _degree_planes(adj: Dict[int, Set[int]], tracked: List[int], span: int) -> L
 
 class Adjacency:
     """Vertex → neighbour-set adjacency with bitsets on dense vertices and
-    degree planes for the neighbours of heavy ones.
+    degree planes for every vertex a heavy vertex has neighboured.
 
     ``Adjacency(edges)`` builds it in bulk from an edge list of distinct
     bipartite edges; ``add``/``remove`` keep ``adj``, ``bits``, ``span``,
-    ``dn`` and ``deg`` consistent one edge at a time. Callers must not
-    mutate them directly.
+    ``tracked`` and ``deg`` consistent one edge at a time. Callers must
+    not mutate them directly.
 
-    Invariant: the degree planes hold exactly the vertices with a heavy
-    neighbour (a dense one of degree at least ``HEAVY_DEGREE``).
-    ``dn[x]`` is the number of heavy neighbours of ``x``, kept only while
-    it is positive (``x in dn`` iff ``x`` is *tracked*), and decoding
-    ``deg`` gives ``len(adj[x])`` at a tracked ``x``'s bit index and 0
-    everywhere else. Each plane list has no trailing zero plane.
+    Invariant: every neighbour of a heavy vertex (a dense one of degree
+    at least ``HEAVY_DEGREE``) is in ``tracked``, and decoding ``deg``
+    gives the degree of a tracked ``x`` (``len(adj[x])``, 0 once ``x`` is
+    isolated) at its bit index and 0 everywhere else. ``tracked`` only
+    grows: the bulk build tracks the neighbours of its heavy vertices,
+    ``add`` tracks those of an endpoint that is heavy after it, and
+    nothing untracks a vertex. Each plane list has no trailing zero plane.
     """
 
-    __slots__ = ("adj", "bits", "span", "dn", "deg")
+    __slots__ = ("adj", "bits", "span", "tracked", "deg")
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
         adj: Dict[int, Set[int]] = {}
@@ -128,29 +133,27 @@ class Adjacency:
             for x, nbrs in adj.items()
             if len(nbrs) * BITS_PER_NEIGHBOUR >= span[x >= 0]
         }
-        dn: Dict[int, int] = {}
+        tracked: Set[int] = set()
         for x in bits:
             if len(adj[x]) >= HEAVY_DEGREE:
-                for w in adj[x]:
-                    dn[w] = dn.get(w, 0) + 1
+                tracked.update(adj[x])
         self.adj = adj
         self.span = span
         self.bits: Dict[int, int] = bits
-        self.dn = dn
+        self.tracked = tracked
         # deg[s] holds side s's vertices, like span[s] (0 = left, 1 = right).
         self.deg: List[List[int]] = [
-            _degree_planes(adj, [x for x in dn if x >= 0], span[0]),
-            _degree_planes(adj, [x for x in dn if x < 0], span[1]),
+            _degree_planes(adj, [x for x in tracked if x >= 0], span[0]),
+            _degree_planes(adj, [x for x in tracked if x < 0], span[1]),
         ]
 
     def add(self, u: int, v: int) -> None:
         """Insert edge {u, v}, which must be bipartite and absent."""
         if u < 0:
             u, v = v, u
-        adj, bits, span, dn = self.adj, self.bits, self.span, self.dn
+        adj, bits, span, tracked = self.adj, self.bits, self.span, self.tracked
         iv = ~v
-        # Grow both spans first: a wider span can drop u's or v's bitset,
-        # and the tracking below needs their state just before the edge.
+        # Grow both spans first: a wider span can drop u's or v's bitset.
         if u >= span[0]:
             self._grow(False, u + 1)
         if iv >= span[1]:
@@ -173,22 +176,26 @@ class Adjacency:
             bits[v] |= 1 << u
         elif len(sv) * BITS_PER_NEIGHBOUR >= span[0]:
             bits[v] = _bitset(sv, span[0])
-        # An add only makes u and v heavier, so heavy before => heavy now.
-        if (u in dn or v in dn or len(su) >= HEAVY_DEGREE and u in bits
-                or len(sv) >= HEAVY_DEGREE and v in bits):
-            self._track_add(u, v, hu, hv)
+        if u in tracked:
+            self._xor(u, len(su) ^ (len(su) - 1))
+        if v in tracked:
+            self._xor(v, len(sv) ^ (len(sv) - 1))
+        # A heavy endpoint's old neighbours are tracked already if it was
+        # heavy before the edge; if it just turned heavy, track them all.
+        if len(su) >= HEAVY_DEGREE and u in bits:
+            self._track((v,) if hu else su)
+        if len(sv) >= HEAVY_DEGREE and v in bits:
+            self._track((u,) if hv else sv)
 
     def remove(self, u: int, v: int) -> None:
         """Remove edge {u, v}; ``KeyError`` if absent. Drops isolated vertices."""
         if u < 0:
             u, v = v, u
-        adj, bits, span, dn = self.adj, self.bits, self.span, self.dn
+        adj, bits, span, tracked = self.adj, self.bits, self.span, self.tracked
         su = adj[u]
         su.remove(v)  # KeyError, with nothing changed, if absent
         sv = adj[v]
         sv.remove(u)
-        hu = len(su) >= HEAVY_DEGREE - 1 and u in bits
-        hv = len(sv) >= HEAVY_DEGREE - 1 and v in bits
         if u in bits:
             if len(su) * BITS_PER_NEIGHBOUR < span[1]:
                 del bits[u]
@@ -199,95 +206,33 @@ class Adjacency:
                 del bits[v]
             else:
                 bits[v] ^= 1 << u
-        # A remove only makes u and v lighter, so heavy now => heavy before.
-        if hu or hv or u in dn or v in dn:
-            self._track_remove(u, v, hu, hv)
+        if u in tracked:
+            self._xor(u, len(su) ^ (len(su) + 1))
+        if v in tracked:
+            self._xor(v, len(sv) ^ (len(sv) + 1))
         if not su:
             del adj[u]
         if not sv:
             del adj[v]
 
-    # -- upkeep of dn and deg ---------------------------------------------
-    def _track_add(self, u: int, v: int, hu: bool, hv: bool) -> None:
-        """Bring ``dn`` and ``deg`` up to date after ``add(u, v)`` (u left),
-        given whether u and v were heavy just before it."""
-        adj, bits, dn = self.adj, self.bits, self.dn
-        su, sv = adj[u], adj[v]
-        tu, tv = u in dn, v in dn
-        if len(su) >= HEAVY_DEGREE and u in bits:
-            if not hu:  # u turned heavy: its other neighbours gain one
-                for w in su:
-                    if w != v:
-                        self._gain(w)
-            dn[v] = dn.get(v, 0) + 1
-        if len(sv) >= HEAVY_DEGREE and v in bits:
-            if not hv:
-                for w in sv:
-                    if w != u:
-                        self._gain(w)
-            dn[u] = dn.get(u, 0) + 1
-        d = len(su)
-        self._xor(u, (d - 1 if tu else 0) ^ (d if u in dn else 0))
-        d = len(sv)
-        self._xor(v, (d - 1 if tv else 0) ^ (d if v in dn else 0))
-
-    def _track_remove(self, u: int, v: int, hu: bool, hv: bool) -> None:
-        """Bring ``dn`` and ``deg`` up to date after ``remove(u, v)`` (u
-        left), given whether u and v were heavy just before it."""
-        adj, bits, dn = self.adj, self.bits, self.dn
-        su, sv = adj[u], adj[v]
-        tu, tv = u in dn, v in dn
-        if hu:
-            if not (len(su) >= HEAVY_DEGREE and u in bits):
-                for w in su:  # u turned light: its neighbours lose one
-                    self._lose(w)
-            c = dn[v] - 1
-            if c:
-                dn[v] = c
-            else:
-                del dn[v]
-        if hv:
-            if not (len(sv) >= HEAVY_DEGREE and v in bits):
-                for w in sv:
-                    self._lose(w)
-            c = dn[u] - 1
-            if c:
-                dn[u] = c
-            else:
-                del dn[u]
-        d = len(su)
-        self._xor(u, (d + 1 if tu else 0) ^ (d if u in dn else 0))
-        d = len(sv)
-        self._xor(v, (d + 1 if tv else 0) ^ (d if v in dn else 0))
-
+    # -- upkeep of tracked and deg -----------------------------------------
     def _grow(self, side: bool, new_span: int) -> None:
         """Widen ``side``'s span; vertices with neighbours on that side
-        that are no longer dense lose their bitsets, and the neighbours of
-        heavy ones a heavy neighbour."""
+        that are no longer dense lose their bitsets."""
         self.span[side] = new_span
         adj, bits = self.adj, self.bits
         for x in [x for x in bits if (x >= 0) == side
                   and len(adj[x]) * BITS_PER_NEIGHBOUR < new_span]:
             del bits[x]
-            if len(adj[x]) >= HEAVY_DEGREE:
-                for w in adj[x]:
-                    self._lose(w)
 
-    def _gain(self, w: int) -> None:
-        """``w``, whose degree is unchanged, gains a heavy neighbour."""
-        c = self.dn.get(w, 0)
-        self.dn[w] = c + 1
-        if not c:
-            self._xor(w, len(self.adj[w]))
-
-    def _lose(self, w: int) -> None:
-        """``w``, whose degree is unchanged, loses a heavy neighbour."""
-        c = self.dn[w] - 1
-        if c:
-            self.dn[w] = c
-        else:
-            del self.dn[w]
-            self._xor(w, len(self.adj[w]))
+    def _track(self, ws: Iterable[int]) -> None:
+        """Put those of ``ws`` (all on one side) not yet tracked into the
+        planes, at their current degrees."""
+        adj, tracked = self.adj, self.tracked
+        for w in ws:
+            if w not in tracked:
+                tracked.add(w)
+                self._xor(w, len(adj[w]))
 
     def _xor(self, x: int, diff: int) -> None:
         """Flip ``x``'s bit in plane ``j`` of its side for each set bit

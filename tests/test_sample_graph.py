@@ -114,14 +114,17 @@ def heavy_degree(h):
     return mock.patch.object(sample_graph, "HEAVY_DEGREE", h)
 
 
+def heavy_vertices(a):
+    return {x for x in a.bits if len(a.adj[x]) >= sample_graph.HEAVY_DEGREE}
+
+
 def assert_degree_planes_track_heavy_neighbours(a):
-    """dn[x] is x's number of heavy neighbours (dense, degree >= the
-    threshold), kept only while positive; deg decodes to len(adj[x]) at a
-    tracked x's bit index and to 0 at every other index, with no trailing
-    zero plane."""
-    heavy = {x for x in a.bits if len(a.adj[x]) >= sample_graph.HEAVY_DEGREE}
-    heavy_nbrs = {x: len(nbrs & heavy) for x, nbrs in a.adj.items()}
-    assert a.dn == {x: c for x, c in heavy_nbrs.items() if c}
+    """Every neighbour of a heavy vertex (dense, degree >= the threshold)
+    is tracked; deg decodes to a tracked x's degree (0 once it is
+    isolated) at its bit index and to 0 at every other index, with no
+    trailing zero plane."""
+    for x in heavy_vertices(a):
+        assert a.adj[x] <= a.tracked, x
     for side in (0, 1):
         planes = a.deg[side]
         assert not planes or planes[-1]
@@ -129,7 +132,7 @@ def assert_degree_planes_track_heavy_neighbours(a):
         for i in range(a.span[side]):
             x = ~i if side else i
             got = sum(((p >> i) & 1) << j for j, p in enumerate(planes))
-            assert got == (len(a.adj[x]) if x in a.dn else 0), (side, i)
+            assert got == (len(a.adj.get(x, ())) if x in a.tracked else 0), (side, i)
 
 
 @given(st.sampled_from([1, 150]), st.integers(1, 4),
@@ -138,10 +141,13 @@ def test_degree_planes_model(stride, heavy, toggles):
     """Model-based, over random add/remove sequences: stride 1 keeps every
     vertex dense, stride 150 mixes dense and sparse vertices and grows
     the spans past the density line of vertices already present; the
-    drawn threshold moves vertices in and out of heavy by degree."""
+    drawn threshold moves vertices in and out of heavy by degree. The
+    tracked set is exactly every vertex that has neighboured a heavy
+    vertex after some op: it only grows."""
     with heavy_degree(heavy):
         a = Adjacency()
         live = set()
+        tracked = set()
         for u, r in toggles:
             ed = e(stride * u, stride * r)
             x, y = ed[::-1] if (u + r) % 2 else ed  # both argument orders
@@ -151,6 +157,9 @@ def test_degree_planes_model(stride, heavy, toggles):
             else:
                 a.add(x, y)
                 live.add(ed)
+            for h in heavy_vertices(a):
+                tracked |= a.adj[h]
+            assert a.tracked == tracked
             assert_bitsets_mirror_sets(a)
             assert_degree_planes_track_heavy_neighbours(a)
         assert a.adj == Adjacency(live).adj
@@ -212,18 +221,20 @@ def test_span_growth_drops_bitsets_no_longer_dense():
     assert_degree_planes_track_heavy_neighbours(g)
 
 
-def test_span_growth_inside_add_untracks_before_the_edge_goes_in():
+def test_span_growth_inside_add_keeps_tracked_vertices():
     """With every dense vertex heavy, the add that widens the right span
     drops its own left endpoint's bitset (degree 2 * 256 < 601) while the
-    new right endpoint turns dense."""
+    new right endpoint turns dense: the left vertices that neighboured the
+    heavy right one stay tracked, and the new right one, whose neighbours
+    are light, is not tracked."""
     with heavy_degree(1):
         a = Adjacency()
         a.add(*e(0, 5))
         a.add(*e(1, 5))
-        assert 0 in a.bits and a.dn[enc_right(5)] == 2
+        assert 0 in a.bits and a.tracked == {0, 1, enc_right(5)}
         a.add(*e(0, 600))
         assert 0 not in a.bits and enc_right(600) in a.bits
-        assert a.dn == {0: 2, 1: 1}
+        assert a.tracked == {0, 1, enc_right(5)}
         assert_bitsets_mirror_sets(a)
         assert_degree_planes_track_heavy_neighbours(a)
 
@@ -239,10 +250,13 @@ def test_bulk_build_equals_one_at_a_time(seed, stride):
             one = Adjacency()
             for ed in edges:
                 one.add(*ed)
-            assert (bulk.adj, bulk.bits, bulk.span, bulk.dn, bulk.deg) == (
-                one.adj, one.bits, one.span, one.dn, one.deg)
-            assert_bitsets_mirror_sets(bulk)
-            assert_degree_planes_track_heavy_neighbours(bulk)
+            assert (bulk.adj, bulk.bits, bulk.span) == (one.adj, one.bits, one.span)
+            # One at a time also tracks the neighbours of vertices that
+            # were heavy on the way and are no longer.
+            assert bulk.tracked <= one.tracked
+            for a in (bulk, one):
+                assert_bitsets_mirror_sets(a)
+                assert_degree_planes_track_heavy_neighbours(a)
 
 
 def test_adjacency_add_remove_roundtrip():
